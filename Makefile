@@ -134,6 +134,8 @@ fuzz:
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
+	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
+	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzDecodeLive -fuzztime 20s
 
 cover:
 	$(GO) test -cover ./...

@@ -118,10 +118,11 @@ func (n *Node) closed() bool {
 
 // Ready reports whether the node is roster-connected and
 // session-capable: the listener is live, the roster contains this
-// node, and at least one other roster peer accepts a TCP connection
-// (so onion construction has somewhere to go). A single-node roster is
-// trivially ready. The verdict is cached for readyCacheTTL to keep
-// probe storms from turning into dial storms.
+// node, and at least one other roster peer is reachable — an open
+// outbound link counts, otherwise a peer must accept a fresh TCP
+// connection (so onion construction has somewhere to go). A
+// single-node roster is trivially ready. The verdict is cached for
+// readyCacheTTL to keep probe storms from turning into dial storms.
 func (n *Node) Ready() error {
 	n.readyMu.Lock()
 	if readyCacheTTL > 0 && !n.readyAt.IsZero() && time.Since(n.readyAt) < readyCacheTTL {
@@ -152,7 +153,7 @@ func (n *Node) readyProbe() error {
 	if _, err := roster.Peer(n.cfg.ID); err != nil {
 		return fmt.Errorf("roster does not contain this node: %w", err)
 	}
-	if roster.Size() == 1 {
+	if roster.Size() == 1 || n.openLink() {
 		return nil
 	}
 	probed := 0

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -70,6 +71,45 @@ func TestReadyzProbe(t *testing.T) {
 	n.Close()
 	if err := n.Ready(); err == nil {
 		t.Fatal("Ready() on a closed node returned nil")
+	}
+}
+
+// TestReadyCountsOpenLink checks that an open outbound link proves a
+// peer reachable without a probe dial, and stops counting once the
+// peer closes it.
+func TestReadyCountsOpenLink(t *testing.T) {
+	disableReadyCache(t)
+	c := startCluster(t, 3, nil)
+	n := c.nodes[0]
+	if _, err := n.Construct([]netsim.NodeID{1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Point every peer of node 0 at a closed port: a probe dial can no
+	// longer succeed, so only the open link can make the node ready.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	peers := make([]Peer, 3)
+	for i := range peers {
+		peers[i], _ = c.roster.Peer(netsim.NodeID(i))
+		if i != 0 {
+			peers[i].Addr = dead.Addr().String()
+		}
+	}
+	unreachable, err := NewRoster(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetRoster(unreachable)
+	if err := n.Ready(); err != nil {
+		t.Fatalf("node with an open link not ready: %v", err)
+	}
+	c.nodes[1].Close()
+	waitFor(t, 5*time.Second, "the closed link to be noticed", func() bool { return !linkOpen(n, 1) })
+	if err := n.Ready(); err == nil {
+		t.Fatal("node ready with no open link and no dialable peer")
 	}
 }
 

@@ -7,11 +7,12 @@
 // connections instead of simulated links, goroutines and mutexes instead
 // of a single-threaded event loop, crypto/rand instead of a seeded PRNG.
 //
-// Scope: static roster (the PKI directory with addresses), one TCP
-// connection per message, path construction with end-to-end acks,
-// forward payloads, reverse replies, relay state TTLs. Churn handling,
-// gossip and the full session layer remain simulation-side; this package
-// demonstrates the mechanics end to end on a real network.
+// Scope: static roster (the PKI directory with addresses), one
+// long-lived TCP connection per peer carrying every frame to it (redialed
+// when the peer closes it, see link.go), path construction with
+// end-to-end acks, forward payloads, reverse replies, relay state TTLs,
+// and the SimEra session with §4.5 probing and repair (session.go).
+// Gossip remains simulation-side.
 package livenet
 
 import (

@@ -16,9 +16,21 @@ import (
 type cluster struct {
 	roster *Roster
 	nodes  []*Node
+	cfgs   []Config
 }
 
 func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
+	t.Helper()
+	return startClusterWith(t, n, func(i int, cfg *Config) {
+		if onData != nil {
+			cfg.OnData = onData[i]
+		}
+	})
+}
+
+// startClusterWith is startCluster with a hook that adjusts each node's
+// config before it starts.
+func startClusterWith(t testing.TB, n int, tweak func(i int, cfg *Config)) *cluster {
 	t.Helper()
 	suite := onioncrypt.ECIES{}
 	keys := make([]onioncrypt.KeyPair, n)
@@ -35,7 +47,7 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
 	// with real addresses. Nodes hold a pointer to the same roster value,
 	// so we construct it after all addresses are known by starting nodes
 	// with a provisional roster and rebuilding.
-	c := &cluster{}
+	c := &cluster{cfgs: make([]Config, n)}
 	nodes := make([]*Node, n)
 	// First pass: start with placeholder roster to learn addresses.
 	prov, err := NewRoster(peers)
@@ -51,14 +63,15 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
 			ConstructTimeout: 5 * time.Second,
 			DialTimeout:      2 * time.Second,
 		}
-		if onData != nil {
-			cfg.OnData = onData[i]
+		if tweak != nil {
+			tweak(i, &cfg)
 		}
 		node, err := Start("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = node
+		c.cfgs[i] = cfg
 		peers[i].Addr = node.Addr()
 	}
 	// Final roster with real addresses; patch it into every node.
@@ -66,17 +79,31 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, node := range nodes {
+	for i, node := range nodes {
 		node.SetRoster(final)
+		c.cfgs[i].Roster = final
 	}
 	c.roster = final
 	c.nodes = nodes
 	t.Cleanup(func() {
-		for _, node := range nodes {
+		for _, node := range c.nodes {
 			node.Close()
 		}
 	})
 	return c
+}
+
+// restart closes node i and starts a fresh one with the same identity,
+// keys and listen address — the shape of a crashed and respawned peer.
+func (c *cluster) restart(t testing.TB, i int) {
+	t.Helper()
+	addr := c.nodes[i].Addr()
+	c.nodes[i].Close()
+	node, err := Start(addr, c.cfgs[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.nodes[i] = node
 }
 
 func TestRosterValidation(t *testing.T) {

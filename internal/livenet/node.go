@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -60,6 +61,7 @@ type Config struct {
 // startup.
 type liveMetrics struct {
 	framesOut, sendErrors, badFrames *obs.Counter
+	linksDialed                      *obs.Counter
 	framesIn                         [kindConstructData + 1]*obs.Counter
 	forwardStates, reverseStates     *obs.Gauge
 }
@@ -88,6 +90,7 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		framesOut:     reg.Counter("live.frames_out"),
 		sendErrors:    reg.Counter("live.send_errors"),
 		badFrames:     reg.Counter("live.bad_frames"),
+		linksDialed:   reg.Counter("live.links_dialed"),
 		forwardStates: reg.Gauge("live.forward_states"),
 		reverseStates: reg.Gauge("live.reverse_states"),
 	}
@@ -141,7 +144,14 @@ type Node struct {
 	reverse  map[uint64]*liveState
 	acks     map[uint64]chan struct{} // initiator: pending construction acks
 	paths    map[uint64]*Path         // initiator: established paths by sid
-	respKeys map[uint64]respStream    // responder: inbound stream keys
+	respKeys map[uint64]respStream    // responder: opened stream keys by sid
+
+	// linksMu guards links (one outbound link slot per peer, see
+	// link.go) and conns (every open connection, outbound and inbound,
+	// so Close can end their goroutines).
+	linksMu sync.Mutex
+	links   map[netsim.NodeID]*link
+	conns   map[net.Conn]struct{}
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -158,9 +168,14 @@ type liveState struct {
 	expires  time.Time
 }
 
+// respStream is the responder's opened stream key for one inbound sid.
+// A delivery reuses key only when it arrives through the same relay
+// with the same sealed key; anything else is opened afresh.
 type respStream struct {
-	relay netsim.NodeID
-	key   []byte
+	relay   netsim.NodeID
+	sealed  []byte
+	key     []byte
+	expires time.Time
 }
 
 // Start launches a node listening on addr ("127.0.0.1:0" in tests; the
@@ -216,6 +231,8 @@ func Start(addr string, cfg Config) (*Node, error) {
 		acks:     make(map[uint64]chan struct{}),
 		paths:    make(map[uint64]*Path),
 		respKeys: make(map[uint64]respStream),
+		links:    make(map[netsim.NodeID]*link),
+		conns:    make(map[net.Conn]struct{}),
 		quit:     make(chan struct{}),
 	}
 	n.wg.Add(2)
@@ -283,13 +300,14 @@ func (n *Node) syncStateGauges() {
 	n.m.reverseStates.Set(float64(len(n.reverse)))
 }
 
-// Close stops the listener and waits for in-flight handlers. It is
-// idempotent.
+// Close stops the listener, closes every link and inbound connection,
+// and waits for in-flight handlers. It is idempotent.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.quit)
 		err = n.ln.Close()
+		n.closeConns()
 		n.wg.Wait()
 	})
 	return err
@@ -302,17 +320,11 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer conn.Close()
-			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-			f, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			n.handle(f)
-		}()
+		if !n.track(conn) {
+			conn.Close()
+			return
+		}
+		go n.serveConn(conn)
 	}
 }
 
@@ -338,14 +350,19 @@ func (n *Node) sweepLoop() {
 					delete(n.reverse, sid)
 				}
 			}
+			for sid, rs := range n.respKeys {
+				if rs.expires.Before(now) {
+					delete(n.respKeys, sid)
+				}
+			}
 			n.syncStateGauges()
 			n.mu.Unlock()
 		}
 	}
 }
 
-// send dials a peer and writes one frame, with the dial-retry policy's
-// full budget as the overall deadline.
+// send writes one frame to a peer, with the dial-retry policy's full
+// budget as the overall deadline.
 func (n *Node) send(to netsim.NodeID, f frame) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.sendBudget())
 	defer cancel()
@@ -369,13 +386,11 @@ func (n *Node) sendBudget() time.Duration {
 		time.Duration(attempts-1)*2*backoff + time.Second
 }
 
-// sendCtx dials a peer under the caller's context and writes one frame.
-// It first consults the fault controller (blackholes refuse the frame,
-// the injected drop rate consumes it silently, injected latency delays
-// it), then retries dial failures per the DialRetry policy with
-// jittered exponential backoff. Write failures after a successful dial
-// are not retried: the frame may have partially left, and replaying it
-// risks duplicate relay state.
+// sendCtx writes one frame to a peer under the caller's context. It
+// first consults the fault controller (blackholes refuse the frame, the
+// injected drop rate consumes it silently, injected latency delays it),
+// then writes the frame on the peer's link (see writeLink), dialing it
+// under the DialRetry policy only when no open link exists.
 func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 	if n.flt.blackholed(to) {
 		n.noteBlackholed(to, f)
@@ -394,25 +409,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 			return ctx.Err()
 		}
 	}
-	err := n.cfg.DialRetry.Do(ctx, func(ctx context.Context) error {
-		dctx, cancel := context.WithTimeout(ctx, n.cfg.DialTimeout)
-		defer cancel()
-		conn, err := n.roster().dialContext(dctx, to)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		deadline := time.Now().Add(n.cfg.DialTimeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		conn.SetWriteDeadline(deadline)
-		if err := writeFrame(conn, f); err != nil {
-			return retrypolicy.Permanent(err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := n.writeLink(ctx, to, f); err != nil {
 		n.noteSendError(to, f)
 		return err
 	}
@@ -671,8 +668,8 @@ func (n *Node) handleDeliver(f frame) {
 	if err != nil {
 		return
 	}
-	key, err := n.cfg.Suite.Open(n.cfg.Private, sealedKey)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
+	key := n.streamKey(f.sid, relay, sealedKey)
+	if key == nil {
 		return
 	}
 	data, err := n.cfg.Suite.SymOpen(key, ct)
@@ -680,7 +677,12 @@ func (n *Node) handleDeliver(f frame) {
 		return
 	}
 	n.mu.Lock()
-	n.respKeys[f.sid] = respStream{relay: relay, key: key}
+	rs, ok := n.respKeys[f.sid]
+	if !ok || rs.relay != relay || !bytes.Equal(rs.sealed, sealedKey) {
+		rs = respStream{relay: relay, sealed: append([]byte(nil), sealedKey...), key: key}
+	}
+	rs.expires = time.Now().Add(n.cfg.StateTTL)
+	n.respKeys[f.sid] = rs
 	n.mu.Unlock()
 	n.emit(obs.Event{
 		Type: obs.MsgDelivered, At: time.Now().UnixMicro(),
@@ -688,6 +690,24 @@ func (n *Node) handleDeliver(f frame) {
 		Slot: -1, Hop: -1, Size: len(data),
 	})
 	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key}, data)
+}
+
+// streamKey returns the responder key sealed in a delivery: the cached
+// one when sid's stream arrived through the same relay with the same
+// sealed key, else a fresh Open. It returns nil when the key does not
+// open. Every segment is still authenticated by SymOpen under the key.
+func (n *Node) streamKey(sid uint64, relay netsim.NodeID, sealed []byte) []byte {
+	n.mu.Lock()
+	rs, ok := n.respKeys[sid]
+	n.mu.Unlock()
+	if ok && rs.relay == relay && bytes.Equal(rs.sealed, sealed) {
+		return rs.key
+	}
+	key, err := n.cfg.Suite.Open(n.cfg.Private, sealed)
+	if err != nil || len(key) != onioncrypt.SymKeySize {
+		return nil
+	}
+	return key
 }
 
 // handleReverse peels replies at the initiator or wraps-and-forwards at

@@ -130,8 +130,11 @@ lint-http:
 # Short fuzz passes over the wire-facing parsers.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 20s
 	$(GO) test ./internal/core -fuzz FuzzDecodeAppMsg -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
+	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzResponderBlob -fuzztime 20s
+	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayMachine -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s

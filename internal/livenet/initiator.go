@@ -3,7 +3,6 @@ package livenet
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -165,14 +164,10 @@ func (n *Node) ConstructWithDataCtx(ctx context.Context, relays []netsim.NodeID,
 	n.paths[p.SID] = p
 	n.mu.Unlock()
 
-	body := make([]byte, 4+len(onionBytes)+len(payload))
-	binary.BigEndian.PutUint32(body, uint32(len(onionBytes)))
-	copy(body[4:], onionBytes)
-	copy(body[4+len(onionBytes):], payload)
 	if err := n.sendCtx(ctx, relays[0], frame{
 		kind: kindConstructData,
 		sid:  p.SID,
-		body: prependSender(n.cfg.ID, body),
+		body: constructDataBody(n.cfg.ID, onionBytes, payload),
 	}); err != nil {
 		n.mu.Lock()
 		delete(n.acks, p.SID)
@@ -208,8 +203,8 @@ func (p *Path) sendTo(dest netsim.NodeID, data, respKey, sealed []byte) error {
 }
 
 // Replies streams decrypted reverse-path payloads (responder answers).
-// The channel is buffered; a full buffer drops the oldest semantics are
-// NOT provided — slow consumers lose newest messages instead.
+// The channel is buffered; when a slow consumer lets it fill, the
+// newest replies are dropped, not the oldest.
 func (p *Path) Replies() <-chan []byte { return p.replies }
 
 // Teardown forgets the path locally; relay-side state ages out via TTL.

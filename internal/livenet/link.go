@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs"
 	"resilientmix/internal/retrypolicy"
 )
 
@@ -33,6 +35,10 @@ var errNodeClosed = errors.New("livenet: node closed")
 type link struct {
 	sem chan struct{}
 	cur atomic.Pointer[linkConn]
+	// peerOut counts frames written to the peer (live.peer_out.<id>);
+	// anonctl's cluster aggregation uses the family to spot silent
+	// relays.
+	peerOut *obs.Counter
 }
 
 // linkConn is one dialed connection of a link.
@@ -66,20 +72,19 @@ func (n *Node) linkTo(to netsim.NodeID) (*link, error) {
 	if l, ok := n.links[to]; ok {
 		return l, nil
 	}
-	l = &link{sem: make(chan struct{}, 1)}
+	l = &link{
+		sem:     make(chan struct{}, 1),
+		peerOut: n.reg.Counter("live.peer_out." + strconv.Itoa(int(to))),
+	}
 	n.links[to] = l
 	return l, nil
 }
 
-// writeLink writes one frame on the peer's link, dialing it under the
+// writeLink writes one frame on peer to's link l, dialing it under the
 // DialRetry policy when it has no open connection. A write error closes
 // the connection and is not retried: the frame may have partially left,
 // and replaying it risks duplicate relay state.
-func (n *Node) writeLink(ctx context.Context, to netsim.NodeID, f frame) error {
-	l, err := n.linkTo(to)
-	if err != nil {
-		return err
-	}
+func (n *Node) writeLink(ctx context.Context, l *link, to netsim.NodeID, f frame) error {
 	select {
 	case l.sem <- struct{}{}:
 	case <-ctx.Done():

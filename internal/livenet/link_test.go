@@ -284,12 +284,10 @@ func TestResponderKeyCache(t *testing.T) {
 	}
 
 	resp := c.nodes[2]
-	resp.mu.Lock()
 	var sid uint64
-	for s := range resp.respKeys {
-		sid = s
+	for _, s := range resp.relay.StreamIDs() {
+		sid = uint64(s)
 	}
-	resp.mu.Unlock()
 	deliver := func(relay netsim.NodeID, sealed []byte, key []byte, data string) {
 		t.Helper()
 		ct, err := onioncrypt.ECIES{}.SymSeal(rand.Reader, key, []byte(data))
@@ -347,11 +345,7 @@ func TestResponderKeysExpire(t *testing.T) {
 		t.Fatal("no delivery")
 	}
 	resp := c.nodes[2]
-	keys := func() int {
-		resp.mu.Lock()
-		defer resp.mu.Unlock()
-		return len(resp.respKeys)
-	}
+	keys := func() int { return len(resp.relay.StreamIDs()) }
 	if keys() != 1 {
 		t.Fatalf("responder caches %d stream keys after one delivery, want 1", keys())
 	}

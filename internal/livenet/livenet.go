@@ -2,10 +2,13 @@
 // protocol over real TCP sockets with real cryptography — the bridge
 // from the simulation (internal/netsim and friends) to a deployable
 // node. It reuses the exact onion construction and payload formats of
-// internal/onion (ParseConstructLayer et al.), the ECIES suite, and the
-// erasure coder; what it replaces is the message plane: frames over TCP
-// connections instead of simulated links, goroutines and mutexes instead
-// of a single-threaded event loop, crypto/rand instead of a seeded PRNG.
+// internal/onion, the ECIES suite and the erasure coder, and it runs the
+// simulator's relay and responder: onion.Machine, the one IO-free
+// implementation of §4.1–4.4, driven here from TCP frames. What it
+// replaces is the message plane: frames over TCP connections instead of
+// simulated links, goroutines and mutexes instead of a single-threaded
+// event loop, crypto/rand and the wall clock instead of a seeded PRNG
+// and virtual time.
 //
 // Scope: static roster (the PKI directory with addresses), one
 // long-lived TCP connection per peer carrying every frame to it (redialed
@@ -25,19 +28,20 @@ import (
 	"time"
 
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 )
 
-// Message kinds on the wire.
+// Message kinds on the wire: the relay machine's onion.Kind values.
 const (
-	kindConstruct byte = 1
-	kindAck       byte = 2
-	kindData      byte = 3
-	kindDeliver   byte = 4
-	kindReverse   byte = 5
+	kindConstruct = byte(onion.KindConstruct) // 1
+	kindAck       = byte(onion.KindAck)       // 2
+	kindData      = byte(onion.KindData)      // 3
+	kindDeliver   = byte(onion.KindDeliver)   // 4
+	kindReverse   = byte(onion.KindReverse)   // 5
 	// kindConstructData combines construction and the first payload in
 	// one pass (§4.2). Body: sender(4) | onionLen(4) | onion | payload.
-	kindConstructData byte = 6
+	kindConstructData = byte(onion.KindConstructData) // 6
 )
 
 // maxFrameSize bounds a frame to keep hostile peers from forcing huge

@@ -358,3 +358,47 @@ func TestLivePathReuse(t *testing.T) {
 		t.Fatalf("deliveries = %v", seen)
 	}
 }
+
+// TestAckOverExpiredStateDropped checks that a relay drops an ack whose
+// reverse state has expired but not yet been swept, as the simulator
+// does, instead of forwarding it toward the initiator.
+func TestAckOverExpiredStateDropped(t *testing.T) {
+	const ttl = 2 * time.Second
+	got := make(chan []byte, 1)
+	c := startClusterWith(t, 3, func(i int, cfg *Config) {
+		switch i {
+		case 1:
+			cfg.StateTTL = ttl
+		case 2:
+			cfg.OnData = func(_ ReplyHandle, data []byte) { got <- data }
+		}
+	})
+	relay := c.nodes[1]
+	// The sweeper ticks every ttl/2 from start. Installing the state half
+	// a tick in makes it expire half a tick before the next sweep, which
+	// leaves room to send the ack while the expired entry is still held.
+	time.Sleep(time.Until(relay.started.Add(ttl / 4)))
+	p, err := c.nodes[0].Construct([]netsim.NodeID{1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send([]byte("refresh")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no delivery")
+	}
+	refreshed := time.Now()
+	sids := c.nodes[2].relay.StreamIDs()
+	if len(sids) != 1 {
+		t.Fatalf("responder holds %d streams, want 1", len(sids))
+	}
+	time.Sleep(time.Until(refreshed.Add(ttl + ttl/20)))
+	before := relay.m.framesOut.Value()
+	relay.handle(frame{kind: kindAck, sid: uint64(sids[0])})
+	if sent := relay.m.framesOut.Value() - before; sent != 0 {
+		t.Fatalf("relay forwarded %d frames for an ack over expired state, want 0", sent)
+	}
+}

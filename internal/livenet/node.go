@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +17,7 @@ import (
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/retrypolicy"
+	"resilientmix/internal/sim"
 )
 
 // DataFunc receives a decrypted application payload at a live responder
@@ -36,7 +35,8 @@ type Config struct {
 	// Suite selects the cryptography; nil selects ECIES (real crypto is
 	// the point of a live node).
 	Suite onioncrypt.Suite
-	// StateTTL bounds idle relay state; zero selects 10 minutes.
+	// StateTTL bounds idle relay and responder state; zero selects 10
+	// minutes.
 	StateTTL time.Duration
 	// DialTimeout bounds outbound connection attempts; zero selects 5s.
 	DialTimeout time.Duration
@@ -139,12 +139,13 @@ type Node struct {
 	readyAt  time.Time
 	readyErr error
 
-	mu       sync.Mutex
-	forward  map[uint64]*liveState
-	reverse  map[uint64]*liveState
-	acks     map[uint64]chan struct{} // initiator: pending construction acks
-	paths    map[uint64]*Path         // initiator: established paths by sid
-	respKeys map[uint64]respStream    // responder: opened stream keys by sid
+	// relay is the node's relay and responder (§4.1–4.4), shared with
+	// the simulator; the handle* methods drive it from frames.
+	relay *onion.Machine
+
+	mu    sync.Mutex
+	acks  map[uint64]chan struct{} // initiator: pending construction acks
+	paths map[uint64]*Path         // initiator: established paths by sid
 
 	// linksMu guards links (one outbound link slot per peer, see
 	// link.go) and conns (every open connection, outbound and inbound,
@@ -156,26 +157,6 @@ type Node struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-}
-
-type liveState struct {
-	prev     netsim.NodeID
-	prevSID  uint64
-	next     netsim.NodeID
-	nextSID  uint64
-	key      []byte
-	terminal bool
-	expires  time.Time
-}
-
-// respStream is the responder's opened stream key for one inbound sid.
-// A delivery reuses key only when it arrives through the same relay
-// with the same sealed key; anything else is opened afresh.
-type respStream struct {
-	relay   netsim.NodeID
-	sealed  []byte
-	key     []byte
-	expires time.Time
 }
 
 // Start launches a node listening on addr ("127.0.0.1:0" in tests; the
@@ -217,23 +198,21 @@ func Start(addr string, cfg Config) (*Node, error) {
 	reg := obs.NewRegistry()
 	hub := obs.NewHub()
 	n := &Node{
-		cfg:      cfg,
-		ln:       ln,
-		reg:      reg,
-		m:        newLiveMetrics(reg),
-		rt:       obs.NewRuntimeCollector(reg),
-		hub:      hub,
-		trc:      obs.Multi(cfg.Tracer, hub),
-		started:  time.Now(),
-		flt:      newFaultCtl(),
-		forward:  make(map[uint64]*liveState),
-		reverse:  make(map[uint64]*liveState),
-		acks:     make(map[uint64]chan struct{}),
-		paths:    make(map[uint64]*Path),
-		respKeys: make(map[uint64]respStream),
-		links:    make(map[netsim.NodeID]*link),
-		conns:    make(map[net.Conn]struct{}),
-		quit:     make(chan struct{}),
+		cfg:     cfg,
+		ln:      ln,
+		reg:     reg,
+		m:       newLiveMetrics(reg),
+		rt:      obs.NewRuntimeCollector(reg),
+		hub:     hub,
+		trc:     obs.Multi(cfg.Tracer, hub),
+		started: time.Now(),
+		flt:     newFaultCtl(),
+		relay:   onion.NewMachine(cfg.Suite, cfg.Private, sim.FromDuration(cfg.StateTTL), cryptoRand{}),
+		acks:    make(map[uint64]chan struct{}),
+		paths:   make(map[uint64]*Path),
+		links:   make(map[netsim.NodeID]*link),
+		conns:   make(map[net.Conn]struct{}),
+		quit:    make(chan struct{}),
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -293,11 +272,11 @@ func (n *Node) AttachTracer(t obs.Tracer) (detach func()) {
 	return n.hub.Attach(t)
 }
 
-// syncStateGauges refreshes the relay-state gauges. Callers must hold
-// n.mu.
+// syncStateGauges refreshes the relay-state gauges.
 func (n *Node) syncStateGauges() {
-	n.m.forwardStates.Set(float64(len(n.forward)))
-	n.m.reverseStates.Set(float64(len(n.reverse)))
+	fwd, rev := n.relay.PathStates()
+	n.m.forwardStates.Set(float64(fwd))
+	n.m.reverseStates.Set(float64(rev))
 }
 
 // Close stops the listener, closes every link and inbound connection,
@@ -328,7 +307,7 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// sweepLoop reclaims expired relay state (§4.3's TTL).
+// sweepLoop reclaims expired relay and responder state (§4.3's TTL).
 func (n *Node) sweepLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.StateTTL / 2)
@@ -338,25 +317,8 @@ func (n *Node) sweepLoop() {
 		case <-n.quit:
 			return
 		case <-ticker.C:
-			now := time.Now()
-			n.mu.Lock()
-			for sid, st := range n.forward {
-				if st.expires.Before(now) {
-					delete(n.forward, sid)
-				}
-			}
-			for sid, st := range n.reverse {
-				if st.expires.Before(now) {
-					delete(n.reverse, sid)
-				}
-			}
-			for sid, rs := range n.respKeys {
-				if rs.expires.Before(now) {
-					delete(n.respKeys, sid)
-				}
-			}
+			n.relay.Sweep(now())
 			n.syncStateGauges()
-			n.mu.Unlock()
 		}
 	}
 }
@@ -409,14 +371,16 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 			return ctx.Err()
 		}
 	}
-	if err := n.writeLink(ctx, to, f); err != nil {
+	l, err := n.linkTo(to)
+	if err == nil {
+		err = n.writeLink(ctx, l, to, f)
+	}
+	if err != nil {
 		n.noteSendError(to, f)
 		return err
 	}
 	n.m.framesOut.Inc()
-	// Per-relay egress counter: anonctl's cluster aggregation uses the
-	// live.peer_out.* family to spot silent relays.
-	n.reg.Counter("live.peer_out." + strconv.Itoa(int(to))).Inc()
+	l.peerOut.Inc()
 	n.emit(obs.Event{
 		Type: obs.MsgSent, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
@@ -443,11 +407,33 @@ func newSID() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
+// cryptoRand is the relay machine's randomness on a live node: stream
+// IDs and seal nonces both come from crypto/rand.
+type cryptoRand struct{}
+
+func (cryptoRand) Read(b []byte) (int, error) { return rand.Read(b) }
+func (cryptoRand) Uint64() uint64             { return newSID() }
+
+// now is the relay machine's clock on a live node: wall time in the
+// simulator's microsecond units.
+func now() sim.Time { return sim.Time(time.Now().UnixMicro()) }
+
 // prependSender tags a frame body with the sending node's roster id.
 func prependSender(id netsim.NodeID, body []byte) []byte {
 	out := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(out, uint32(id))
 	copy(out[4:], body)
+	return out
+}
+
+// constructDataBody encodes a kindConstructData body:
+// sender(4) | onionLen(4) | onion | payload.
+func constructDataBody(id netsim.NodeID, onionBytes, payload []byte) []byte {
+	out := make([]byte, 8+len(onionBytes)+len(payload))
+	binary.BigEndian.PutUint32(out, uint32(id))
+	binary.BigEndian.PutUint32(out[4:], uint32(len(onionBytes)))
+	copy(out[8:], onionBytes)
+	copy(out[8+len(onionBytes):], payload)
 	return out
 }
 
@@ -458,6 +444,24 @@ func splitSender(body []byte) (netsim.NodeID, []byte, error) {
 	return netsim.NodeID(binary.BigEndian.Uint32(body)), body[4:], nil
 }
 
+// sender splits the in-band sender id off a construct, construct-data
+// or deliver frame. It rejects senders outside the roster and senders
+// this node blackholes.
+func (n *Node) sender(f frame) (netsim.NodeID, []byte, bool) {
+	from, rest, err := splitSender(f.body)
+	if err != nil {
+		return netsim.Invalid, nil, false
+	}
+	if _, err := n.roster().Peer(from); err != nil {
+		return netsim.Invalid, nil, false
+	}
+	if n.flt.blackholed(from) {
+		n.noteBlackholed(from, f)
+		return netsim.Invalid, nil, false
+	}
+	return from, rest, true
+}
+
 func (n *Node) handle(f frame) {
 	n.lastFrameAt.Store(time.Now().UnixMicro())
 	if f.kind < kindConstruct || f.kind > kindConstructData {
@@ -465,187 +469,73 @@ func (n *Node) handle(f frame) {
 		return
 	}
 	n.m.framesIn[f.kind].Inc()
+	sid := onion.StreamID(f.sid)
 	switch f.kind {
 	case kindConstruct:
-		n.handleConstruct(f)
+		if from, onionBytes, ok := n.sender(f); ok {
+			s := n.relay.Construct(from, sid, onionBytes, now())
+			n.syncStateGauges()
+			n.sendStep(s)
+		}
+	case kindConstructData:
+		n.handleConstructData(f)
 	case kindAck:
-		n.handleAck(f)
+		n.mu.Lock()
+		ch, ok := n.acks[f.sid]
+		delete(n.acks, f.sid)
+		n.mu.Unlock()
+		if ok {
+			close(ch)
+			return
+		}
+		n.sendStep(n.relay.Ack(sid, now()))
 	case kindData:
-		n.handleData(f)
+		n.sendStep(n.relay.Data(sid, f.body, now()))
 	case kindDeliver:
 		n.handleDeliver(f)
 	case kindReverse:
-		n.handleReverse(f)
-	case kindConstructData:
-		n.handleConstructData(f)
+		n.mu.Lock()
+		p, ok := n.paths[f.sid]
+		n.mu.Unlock()
+		if ok {
+			p.deliverReverse(f.body)
+			return
+		}
+		n.sendStep(n.relay.Reverse(sid, f.body, now()))
 	}
 }
 
-// handleConstruct installs relay path state from one onion layer and
-// either forwards the inner onion or acknowledges back (terminal).
-func (n *Node) handleConstruct(f frame) {
-	from, onionBytes, err := splitSender(f.body)
-	if err != nil {
-		return
-	}
-	if _, err := n.roster().Peer(from); err != nil {
-		return
-	}
-	if n.flt.blackholed(from) {
-		n.noteBlackholed(from, f)
-		return
-	}
-	layer, err := onion.ParseConstructLayer(n.cfg.Suite, n.cfg.Private, onionBytes)
-	if err != nil {
-		return
-	}
-	st := &liveState{
-		prev:     from,
-		prevSID:  f.sid,
-		next:     layer.Next,
-		nextSID:  newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  time.Now().Add(n.cfg.StateTTL),
-	}
-	n.mu.Lock()
-	n.forward[f.sid] = st
-	n.reverse[st.nextSID] = st
-	n.syncStateGauges()
-	n.mu.Unlock()
-	if layer.Terminal {
-		n.send(from, frame{kind: kindAck, sid: f.sid})
-		return
-	}
-	n.send(layer.Next, frame{kind: kindConstruct, sid: st.nextSID, body: prependSender(n.cfg.ID, layer.Inner)})
-}
-
-// handleConstructData is the §4.2 combined pass over TCP: install path
-// state from the onion layer, strip one payload layer, and forward (or
-// deliver + ack at the terminal relay).
+// handleConstructData unframes a §4.2 combined construction: the onion
+// length splits the onion from the payload.
 func (n *Node) handleConstructData(f frame) {
-	from, rest, err := splitSender(f.body)
-	if err != nil || len(rest) < 4 {
-		return
-	}
-	if _, err := n.roster().Peer(from); err != nil {
-		return
-	}
-	if n.flt.blackholed(from) {
-		n.noteBlackholed(from, f)
+	from, rest, ok := n.sender(f)
+	if !ok || len(rest) < 4 {
 		return
 	}
 	onionLen := binary.BigEndian.Uint32(rest)
 	if uint64(onionLen) > uint64(len(rest)-4) {
 		return
 	}
-	onionBytes := rest[4 : 4+onionLen]
-	payload := rest[4+onionLen:]
-
-	layer, err := onion.ParseConstructLayer(n.cfg.Suite, n.cfg.Private, onionBytes)
-	if err != nil {
-		return
-	}
-	pt, err := n.cfg.Suite.SymOpen(layer.Key, payload)
-	if err != nil {
-		return
-	}
-	st := &liveState{
-		prev:     from,
-		prevSID:  f.sid,
-		next:     layer.Next,
-		nextSID:  newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  time.Now().Add(n.cfg.StateTTL),
-	}
-	n.mu.Lock()
-	n.forward[f.sid] = st
-	n.reverse[st.nextSID] = st
+	s := n.relay.ConstructData(from, onion.StreamID(f.sid), rest[4:4+onionLen], rest[4+onionLen:], now())
 	n.syncStateGauges()
-	n.mu.Unlock()
-
-	if layer.Terminal {
-		dest, blob, err := onion.ParseTerminalPayload(pt)
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if dest != st.next {
-			delete(n.reverse, st.nextSID)
-			st.next = dest
-			st.nextSID = newSID()
-			n.reverse[st.nextSID] = st
-		}
-		sid := st.nextSID
-		n.mu.Unlock()
-		n.send(dest, frame{kind: kindDeliver, sid: sid, body: prependSender(n.cfg.ID, blob)})
-		n.send(from, frame{kind: kindAck, sid: f.sid})
-		return
-	}
-	inner := make([]byte, 4+len(layer.Inner)+len(pt))
-	binary.BigEndian.PutUint32(inner, uint32(len(layer.Inner)))
-	copy(inner[4:], layer.Inner)
-	copy(inner[4+len(layer.Inner):], pt)
-	n.send(layer.Next, frame{kind: kindConstructData, sid: st.nextSID, body: prependSender(n.cfg.ID, inner)})
+	n.sendStep(s)
 }
 
-// handleAck completes a local construction or forwards the ack backward.
-func (n *Node) handleAck(f frame) {
-	n.mu.Lock()
-	if ch, ok := n.acks[f.sid]; ok {
-		delete(n.acks, f.sid)
-		n.mu.Unlock()
-		close(ch)
-		return
+// sendStep sends the frames a relay step produced, in order.
+func (n *Node) sendStep(s onion.Step) {
+	for i := 0; i < s.N; i++ {
+		fr := &s.Frames[i]
+		f := frame{kind: byte(fr.Kind), sid: uint64(fr.SID), body: fr.Body}
+		switch fr.Kind {
+		case onion.KindConstruct:
+			f.body = prependSender(n.cfg.ID, fr.Onion)
+		case onion.KindConstructData:
+			f.body = constructDataBody(n.cfg.ID, fr.Onion, fr.Body)
+		case onion.KindDeliver:
+			f.body = prependSender(n.cfg.ID, fr.Body)
+		}
+		n.send(fr.To, f)
 	}
-	st, ok := n.reverse[f.sid]
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	n.send(st.prev, frame{kind: kindAck, sid: st.prevSID})
-}
-
-// handleData strips one payload layer and forwards it; at the terminal
-// relay the inner destination receives the responder blob.
-func (n *Node) handleData(f frame) {
-	n.mu.Lock()
-	st, ok := n.forward[f.sid]
-	if ok && st.expires.Before(time.Now()) {
-		delete(n.forward, f.sid)
-		ok = false
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	pt, err := n.cfg.Suite.SymOpen(st.key, f.body)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	st.expires = time.Now().Add(n.cfg.StateTTL)
-	n.mu.Unlock()
-	if !st.terminal {
-		n.send(st.next, frame{kind: kindData, sid: st.nextSID, body: pt})
-		return
-	}
-	dest, blob, err := onion.ParseTerminalPayload(pt)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	if dest != st.next {
-		// §4.4 path reuse: rebind the downstream stream.
-		delete(n.reverse, st.nextSID)
-		st.next = dest
-		st.nextSID = newSID()
-		n.reverse[st.nextSID] = st
-	}
-	sid := st.nextSID
-	n.mu.Unlock()
-	n.send(dest, frame{kind: kindDeliver, sid: sid, body: prependSender(n.cfg.ID, blob)})
 }
 
 // handleDeliver runs the responder role.
@@ -653,89 +543,20 @@ func (n *Node) handleDeliver(f frame) {
 	if n.cfg.OnData == nil {
 		return
 	}
-	relay, blob, err := splitSender(f.body)
-	if err != nil {
+	relay, blob, ok := n.sender(f)
+	if !ok {
 		return
 	}
-	if _, err := n.roster().Peer(relay); err != nil {
+	data, key, drop := n.relay.Deliver(relay, onion.StreamID(f.sid), blob, now())
+	if drop != obs.ReasonNone {
 		return
 	}
-	if n.flt.blackholed(relay) {
-		n.noteBlackholed(relay, f)
-		return
-	}
-	sealedKey, ct, err := onion.ParseResponderBlob(blob)
-	if err != nil {
-		return
-	}
-	key := n.streamKey(f.sid, relay, sealedKey)
-	if key == nil {
-		return
-	}
-	data, err := n.cfg.Suite.SymOpen(key, ct)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	rs, ok := n.respKeys[f.sid]
-	if !ok || rs.relay != relay || !bytes.Equal(rs.sealed, sealedKey) {
-		rs = respStream{relay: relay, sealed: append([]byte(nil), sealedKey...), key: key}
-	}
-	rs.expires = time.Now().Add(n.cfg.StateTTL)
-	n.respKeys[f.sid] = rs
-	n.mu.Unlock()
 	n.emit(obs.Event{
 		Type: obs.MsgDelivered, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(relay), ID: f.sid,
 		Slot: -1, Hop: -1, Size: len(data),
 	})
 	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key}, data)
-}
-
-// streamKey returns the responder key sealed in a delivery: the cached
-// one when sid's stream arrived through the same relay with the same
-// sealed key, else a fresh Open. It returns nil when the key does not
-// open. Every segment is still authenticated by SymOpen under the key.
-func (n *Node) streamKey(sid uint64, relay netsim.NodeID, sealed []byte) []byte {
-	n.mu.Lock()
-	rs, ok := n.respKeys[sid]
-	n.mu.Unlock()
-	if ok && rs.relay == relay && bytes.Equal(rs.sealed, sealed) {
-		return rs.key
-	}
-	key, err := n.cfg.Suite.Open(n.cfg.Private, sealed)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
-		return nil
-	}
-	return key
-}
-
-// handleReverse peels replies at the initiator or wraps-and-forwards at
-// a relay.
-func (n *Node) handleReverse(f frame) {
-	n.mu.Lock()
-	if p, ok := n.paths[f.sid]; ok {
-		n.mu.Unlock()
-		p.deliverReverse(f.body)
-		return
-	}
-	st, ok := n.reverse[f.sid]
-	if ok && st.expires.Before(time.Now()) {
-		delete(n.reverse, f.sid)
-		ok = false
-	}
-	if ok {
-		st.expires = time.Now().Add(n.cfg.StateTTL)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	wrapped, err := n.cfg.Suite.SymSeal(rand.Reader, st.key, f.body)
-	if err != nil {
-		return
-	}
-	n.send(st.prev, frame{kind: kindReverse, sid: st.prevSID, body: wrapped})
 }
 
 // ReplyHandle lets a live responder answer along the delivering path.

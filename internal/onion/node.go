@@ -45,12 +45,12 @@ func NewNode(net *netsim.Network, id netsim.NodeID, dir *Directory, mux *netsim.
 }
 
 func (n *Node) attach(mux *netsim.Mux) {
-	mux.Route(ConstructMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleConstruct(from, m.Payload.(ConstructMsg))
-	}))
-	mux.Route(ConstructDataMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleConstructData(from, m.Payload.(ConstructDataMsg))
-	}))
+	relay := netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
+		n.Relay.handle(from, m.Payload)
+	})
+	mux.Route(ConstructMsg{}, relay)
+	mux.Route(ConstructDataMsg{}, relay)
+	mux.Route(DataMsg{}, relay)
 	mux.Route(ConstructAck{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
 		ack := m.Payload.(ConstructAck)
 		// The initiator's own streams take priority; otherwise this node
@@ -59,10 +59,7 @@ func (n *Node) attach(mux *netsim.Mux) {
 			n.Initiator.handleConstructAck(from, ack)
 			return
 		}
-		n.Relay.handleConstructAck(from, ack)
-	}))
-	mux.Route(DataMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleData(from, m.Payload.(DataMsg))
+		n.Relay.handle(from, ack)
 	}))
 	mux.Route(DeliverMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
 		if n.Responder != nil {
@@ -75,6 +72,6 @@ func (n *Node) attach(mux *netsim.Mux) {
 			n.Initiator.handleReverse(from, rev)
 			return
 		}
-		n.Relay.handleReverse(from, rev)
+		n.Relay.handle(from, rev)
 	}))
 }

@@ -1,278 +1,82 @@
 package onion
 
 import (
-	"math/rand"
-
+	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/sim"
 )
 
-// DefaultStateTTL is how long a relay keeps an idle path state before
-// reclaiming it (§4.3). Payload traffic refreshes the TTL.
-const DefaultStateTTL = 10 * sim.Minute
-
-// RelayStats counts a relay's activity.
-type RelayStats struct {
-	Constructed  uint64 // path states installed
-	DataRelayed  uint64 // payload onion layers forwarded
-	Delivered    uint64 // responder deliveries (terminal hops)
-	ReverseHops  uint64 // reverse messages wrapped and forwarded
-	AcksRelayed  uint64 // construction acks forwarded backward
-	DroppedNoSID uint64 // messages with unknown or expired stream IDs
-	DroppedBad   uint64 // messages that failed to decrypt or parse
-	Expired      uint64 // path states reclaimed by the TTL sweeper
-	Wiped        uint64 // path states lost to a node failure
-}
-
-// Relay is one node's mix functionality: it installs path state from
+// Relay is one node's mix functionality in the simulator: it drives a
+// Machine from netsim messages, so it installs path state from
 // construction onions and forwards payload, delivery, reverse and ack
 // traffic along cached streams. All state is lost when the node fails,
 // which is exactly the fragility the paper studies.
 type Relay struct {
-	id    netsim.NodeID
-	net   *netsim.Network
-	eng   *sim.Engine
-	rng   *rand.Rand
-	suite onioncrypt.Suite
-	priv  onioncrypt.PrivateKey
-	ttl   sim.Time
-
-	forward map[StreamID]*pathState // keyed by upstream (inbound) stream ID
-	reverse map[StreamID]*pathState // keyed by downstream (outbound) stream ID
-
-	stats RelayStats
+	*Machine
+	id  netsim.NodeID
+	net *netsim.Network
+	eng *sim.Engine
 }
 
 // NewRelay creates the relay for a node, registers its churn listener
 // (state is wiped when the node goes down) and starts the TTL sweeper.
 func NewRelay(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, priv onioncrypt.PrivateKey, ttl sim.Time) *Relay {
+	return &Relay{Machine: newSimMachine(net, id, suite, priv, ttl), id: id, net: net, eng: net.Engine()}
+}
+
+// newSimMachine creates a node's Machine on the engine's RNG (zero ttl
+// selects DefaultStateTTL), wipes it when the node goes down and sweeps
+// it every TTL.
+func newSimMachine(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, priv onioncrypt.PrivateKey, ttl sim.Time) *Machine {
 	if ttl <= 0 {
 		ttl = DefaultStateTTL
 	}
-	r := &Relay{
-		id:      id,
-		net:     net,
-		eng:     net.Engine(),
-		rng:     net.Engine().RNG(),
-		suite:   suite,
-		priv:    priv,
-		ttl:     ttl,
-		forward: make(map[StreamID]*pathState),
-		reverse: make(map[StreamID]*pathState),
-	}
+	eng := net.Engine()
+	m := NewMachine(suite, priv, ttl, eng.RNG())
 	net.AddStateListener(func(nid netsim.NodeID, up bool) {
 		if nid == id && !up {
-			r.wipe()
+			m.Wipe()
 		}
 	})
-	r.eng.Every(ttl, ttl, r.sweep)
-	return r
+	eng.Every(ttl, ttl, func() { m.Sweep(eng.Now()) })
+	return m
 }
-
-// Stats returns a snapshot of the relay's counters.
-func (r *Relay) Stats() RelayStats { return r.stats }
 
 // States returns the number of live path states.
-func (r *Relay) States() int { return len(r.forward) }
-
-func (r *Relay) wipe() {
-	r.stats.Wiped += uint64(len(r.forward))
-	r.forward = make(map[StreamID]*pathState)
-	r.reverse = make(map[StreamID]*pathState)
+func (r *Relay) States() int {
+	n, _ := r.PathStates()
+	return n
 }
 
-func (r *Relay) sweep() {
+// handle runs one netsim message through the machine and sends what it
+// produced. Payload-carrying outputs get the input's data-plane tag
+// advanced one hop; a dropped tagged input is traced.
+func (r *Relay) handle(from netsim.NodeID, payload any) {
+	var (
+		s    Step
+		flow *metrics.Flow
+		tag  obs.Tag
+		size int
+	)
 	now := r.eng.Now()
-	for sid, st := range r.forward {
-		if st.expires <= now {
-			delete(r.forward, sid)
-			r.stats.Expired++
-		}
+	switch msg := payload.(type) {
+	case ConstructMsg:
+		s, flow = r.Construct(from, msg.SID, msg.Onion, now), msg.Flow
+	case ConstructDataMsg:
+		s, flow, tag, size = r.ConstructData(from, msg.SID, msg.Onion, msg.Body, now), msg.Flow, msg.Trace, msg.WireSize()
+	case ConstructAck:
+		s, flow = r.Ack(msg.SID, now), msg.Flow
+	case DataMsg:
+		s, flow, tag, size = r.Data(msg.SID, msg.Body, now), msg.Flow, msg.Trace, msg.WireSize()
+	case ReverseMsg:
+		s, flow = r.Reverse(msg.SID, msg.Body, now), msg.Flow
 	}
-	for sid, st := range r.reverse {
-		if st.expires <= now {
-			delete(r.reverse, sid)
-		}
+	if s.Drop != obs.ReasonNone {
+		emitRelayDropped(r.net, r.id, tag, size, s.Drop)
 	}
-}
-
-// lookup returns a live state from the map, dropping expired entries.
-func (r *Relay) lookup(m map[StreamID]*pathState, sid StreamID) *pathState {
-	st, ok := m[sid]
-	if !ok {
-		r.stats.DroppedNoSID++
-		return nil
+	for i := 0; i < s.N; i++ {
+		sendFrame(r.net, r.id, &s.Frames[i], flow, tag.Next())
 	}
-	if st.expires <= r.eng.Now() {
-		delete(m, sid)
-		r.stats.DroppedNoSID++
-		return nil
-	}
-	return st
-}
-
-func (r *Relay) newSID() StreamID { return StreamID(r.rng.Uint64()) }
-
-// handleConstruct installs path state from one construction onion layer
-// and either forwards the inner onion or, at the terminal relay,
-// acknowledges back toward the initiator.
-func (r *Relay) handleConstruct(from netsim.NodeID, msg ConstructMsg) {
-	layer, err := ParseConstructLayer(r.suite, r.priv, msg.Onion)
-	if err != nil {
-		r.stats.DroppedBad++
-		return
-	}
-	st := &pathState{
-		prev:     from,
-		prevSID:  msg.SID,
-		next:     layer.Next,
-		nextSID:  r.newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  r.eng.Now() + r.ttl,
-	}
-	r.forward[msg.SID] = st
-	r.reverse[st.nextSID] = st
-	r.stats.Constructed++
-	if layer.Terminal {
-		ack := ConstructAck{SID: msg.SID, Flow: msg.Flow}
-		send(r.net, r.id, from, ack, ack.WireSize(), msg.Flow, obs.Tag{})
-		return
-	}
-	fwd := ConstructMsg{SID: st.nextSID, Onion: layer.Inner, Flow: msg.Flow}
-	send(r.net, r.id, layer.Next, fwd, fwd.WireSize(), msg.Flow, obs.Tag{})
-}
-
-// handleConstructData installs path state AND forwards the piggybacked
-// payload in one pass (§4.2's combined construction/sending). The
-// terminal relay delivers the responder blob and acks like an ordinary
-// construction.
-func (r *Relay) handleConstructData(from netsim.NodeID, msg ConstructDataMsg) {
-	layer, err := ParseConstructLayer(r.suite, r.priv, msg.Onion)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	pt, err := r.suite.SymOpen(layer.Key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	st := &pathState{
-		prev:     from,
-		prevSID:  msg.SID,
-		next:     layer.Next,
-		nextSID:  r.newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  r.eng.Now() + r.ttl,
-	}
-	r.forward[msg.SID] = st
-	r.reverse[st.nextSID] = st
-	r.stats.Constructed++
-	if layer.Terminal {
-		dest, blob, err := ParseTerminalPayload(pt)
-		if err != nil {
-			r.stats.DroppedBad++
-			emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-			return
-		}
-		if dest != st.next {
-			delete(r.reverse, st.nextSID)
-			st.next = dest
-			st.nextSID = r.newSID()
-			r.reverse[st.nextSID] = st
-		}
-		r.stats.Delivered++
-		d := DeliverMsg{SID: st.nextSID, Body: blob, Flow: msg.Flow, Trace: msg.Trace.Next()}
-		send(r.net, r.id, dest, d, d.WireSize(), msg.Flow, d.Trace)
-		ack := ConstructAck{SID: msg.SID, Flow: msg.Flow}
-		send(r.net, r.id, from, ack, ack.WireSize(), msg.Flow, obs.Tag{})
-		return
-	}
-	r.stats.DataRelayed++
-	fwd := ConstructDataMsg{SID: st.nextSID, Onion: layer.Inner, Body: pt, Flow: msg.Flow, Trace: msg.Trace.Next()}
-	send(r.net, r.id, layer.Next, fwd, fwd.WireSize(), msg.Flow, fwd.Trace)
-}
-
-// handleConstructAck forwards an ack one hop back toward the initiator.
-func (r *Relay) handleConstructAck(_ netsim.NodeID, msg ConstructAck) {
-	st := r.lookup(r.reverse, msg.SID)
-	if st == nil {
-		return
-	}
-	r.stats.AcksRelayed++
-	ack := ConstructAck{SID: st.prevSID, Flow: msg.Flow}
-	send(r.net, r.id, st.prev, ack, ack.WireSize(), msg.Flow, obs.Tag{})
-}
-
-// handleData strips one payload layer and forwards it. At the terminal
-// relay the layer reveals the destination (normally the cached
-// responder; a different one rebinds the stream — path reuse, §4.4) and
-// the blob is delivered to it.
-func (r *Relay) handleData(_ netsim.NodeID, msg DataMsg) {
-	st := r.lookup(r.forward, msg.SID)
-	if st == nil {
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonNoState)
-		return
-	}
-	pt, err := r.suite.SymOpen(st.key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	st.expires = r.eng.Now() + r.ttl // payload refreshes the TTL (§4.3)
-	if !st.terminal {
-		r.stats.DataRelayed++
-		fwd := DataMsg{SID: st.nextSID, Body: pt, Flow: msg.Flow, Trace: msg.Trace.Next()}
-		send(r.net, r.id, st.next, fwd, fwd.WireSize(), msg.Flow, fwd.Trace)
-		return
-	}
-	dest, blob, err := ParseTerminalPayload(pt)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	if dest != st.next {
-		// §4.4: the initiator multiplexed a new responder onto this
-		// path; generate a fresh downstream stream ID for it.
-		delete(r.reverse, st.nextSID)
-		st.next = dest
-		st.nextSID = r.newSID()
-		r.reverse[st.nextSID] = st
-	}
-	r.stats.Delivered++
-	d := DeliverMsg{SID: st.nextSID, Body: blob, Flow: msg.Flow, Trace: msg.Trace.Next()}
-	send(r.net, r.id, dest, d, d.WireSize(), msg.Flow, d.Trace)
-}
-
-// handleReverse wraps a response in this relay's symmetric layer and
-// forwards it toward the initiator.
-func (r *Relay) handleReverse(_ netsim.NodeID, msg ReverseMsg) {
-	st := r.lookup(r.reverse, msg.SID)
-	if st == nil {
-		return
-	}
-	wrapped, err := r.suite.SymSeal(r.rng, st.key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		return
-	}
-	st.expires = r.eng.Now() + r.ttl
-	r.stats.ReverseHops++
-	rev := ReverseMsg{SID: st.prevSID, Body: wrapped, Flow: msg.Flow}
-	send(r.net, r.id, st.prev, rev, rev.WireSize(), msg.Flow, obs.Tag{})
-}
-
-// hasReverse reports whether sid belongs to one of this relay's
-// downstream streams (used by the node dispatcher).
-func (r *Relay) hasReverse(sid StreamID) bool {
-	_, ok := r.reverse[sid]
-	return ok
 }

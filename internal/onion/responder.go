@@ -1,8 +1,6 @@
 package onion
 
 import (
-	"math/rand"
-
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -14,88 +12,40 @@ import (
 // with a handle for replying along the reverse path.
 type DataFunc func(h ReplyHandle, plain []byte)
 
-// Responder is the destination-side endpoint D: it unseals the per-path
-// symmetric key with its private key, decrypts application payloads,
-// and can send replies back along the delivering path (§4.2).
+// Responder is the destination-side endpoint D in the simulator: it
+// drives a Machine that unseals the per-path symmetric key with its
+// private key and decrypts application payloads, and it can send
+// replies back along the delivering path (§4.2).
 type Responder struct {
+	*Machine
 	id     netsim.NodeID
 	net    *netsim.Network
 	eng    *sim.Engine
-	rng    *rand.Rand
-	suite  onioncrypt.Suite
-	priv   onioncrypt.PrivateKey
 	onData DataFunc
-	ttl    sim.Time
-
-	streams map[StreamID]*respStream // keyed by the terminal relay's downstream sid
-	dropped uint64
-}
-
-type respStream struct {
-	relay   netsim.NodeID
-	key     []byte
-	expires sim.Time
 }
 
 // NewResponder creates the responder endpoint for a node. The onData
 // callback runs for every decrypted payload.
 func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, priv onioncrypt.PrivateKey, ttl sim.Time, onData DataFunc) *Responder {
-	if ttl <= 0 {
-		ttl = DefaultStateTTL
-	}
-	r := &Responder{
+	return &Responder{
+		Machine: newSimMachine(net, id, suite, priv, ttl),
 		id:      id,
 		net:     net,
 		eng:     net.Engine(),
-		rng:     net.Engine().RNG(),
-		suite:   suite,
-		priv:    priv,
 		onData:  onData,
-		ttl:     ttl,
-		streams: make(map[StreamID]*respStream),
 	}
-	net.AddStateListener(func(nid netsim.NodeID, up bool) {
-		if nid == id && !up {
-			r.streams = make(map[StreamID]*respStream)
-		}
-	})
-	r.eng.Every(ttl, ttl, r.sweep)
-	return r
 }
 
 // Dropped returns the number of undecryptable deliveries.
-func (r *Responder) Dropped() uint64 { return r.dropped }
-
-func (r *Responder) sweep() {
-	now := r.eng.Now()
-	for sid, st := range r.streams {
-		if st.expires <= now {
-			delete(r.streams, sid)
-		}
-	}
-}
+func (r *Responder) Dropped() uint64 { return r.Stats().DroppedBad }
 
 // handleDeliver processes a delivery from a terminal relay.
 func (r *Responder) handleDeliver(from netsim.NodeID, msg DeliverMsg) {
-	sealedKey, ct, err := ParseResponderBlob(msg.Body)
-	if err != nil {
-		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
+	plain, key, drop := r.Deliver(from, msg.SID, msg.Body, r.eng.Now())
+	if drop != obs.ReasonNone {
+		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), drop)
 		return
 	}
-	key, err := r.suite.Open(r.priv, sealedKey)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
-		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	plain, err := r.suite.SymOpen(key, ct)
-	if err != nil {
-		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	r.streams[msg.SID] = &respStream{relay: from, key: key, expires: r.eng.Now() + r.ttl}
 	if r.onData != nil {
 		h := ReplyHandle{resp: r, relay: from, sid: msg.SID, key: key, Flow: msg.Flow}
 		r.onData(h, plain)

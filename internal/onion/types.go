@@ -15,7 +15,6 @@ import (
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
-	"resilientmix/internal/sim"
 )
 
 // StreamID identifies one hop-to-hop stream. Each relay maps the
@@ -117,6 +116,32 @@ func send(net *netsim.Network, from, to netsim.NodeID, payload any, size int, fl
 	return false
 }
 
+// sendFrame puts a Machine frame on the simulated wire as its typed
+// message. Payload-carrying kinds are stamped with tag; construction,
+// ack and reverse messages travel untagged.
+func sendFrame(net *netsim.Network, from netsim.NodeID, f *Frame, flow *metrics.Flow, tag obs.Tag) {
+	switch f.Kind {
+	case KindConstruct:
+		m := ConstructMsg{SID: f.SID, Onion: f.Onion, Flow: flow}
+		send(net, from, f.To, m, m.WireSize(), flow, obs.Tag{})
+	case KindConstructData:
+		m := ConstructDataMsg{SID: f.SID, Onion: f.Onion, Body: f.Body, Flow: flow, Trace: tag}
+		send(net, from, f.To, m, m.WireSize(), flow, tag)
+	case KindAck:
+		m := ConstructAck{SID: f.SID, Flow: flow}
+		send(net, from, f.To, m, m.WireSize(), flow, obs.Tag{})
+	case KindData:
+		m := DataMsg{SID: f.SID, Body: f.Body, Flow: flow, Trace: tag}
+		send(net, from, f.To, m, m.WireSize(), flow, tag)
+	case KindDeliver:
+		m := DeliverMsg{SID: f.SID, Body: f.Body, Flow: flow, Trace: tag}
+		send(net, from, f.To, m, m.WireSize(), flow, tag)
+	case KindReverse:
+		m := ReverseMsg{SID: f.SID, Body: f.Body, Flow: flow}
+		send(net, from, f.To, m, m.WireSize(), flow, obs.Tag{})
+	}
+}
+
 // emitRelayDropped records a tagged data-plane message consumed above
 // the wire — a relay or responder that could not process it. Without
 // this event the message's causal chain would end at a MsgDelivered
@@ -135,16 +160,4 @@ func emitRelayDropped(net *netsim.Network, node netsim.NodeID, tag obs.Tag, size
 		Node: int(node), Peer: -1, ID: tag.ID, Seq: int64(tag.Seg),
 		Slot: int(tag.Slot), Hop: int(tag.Hop), Size: size, Reason: reason,
 	})
-}
-
-// pathState is one relay's cached tuple for a stream:
-// [P_{i-1}, sid_{i-1}, P_{i+1}, sid_i, R_i] plus a TTL (§4.3).
-type pathState struct {
-	prev     netsim.NodeID
-	prevSID  StreamID
-	next     netsim.NodeID
-	nextSID  StreamID
-	key      []byte
-	terminal bool // next hop is the responder
-	expires  sim.Time
 }

@@ -263,15 +263,6 @@ func mbps(res testing.BenchmarkResult) float64 {
 	return float64(res.Bytes) * float64(res.N) / res.T.Seconds() / 1e6
 }
 
-// AddWallTime records an ungated wall-clock measurement under
-// "info.<name>.wall_seconds".
-func (r *Report) AddWallTime(name string, d time.Duration) {
-	if r.Info == nil {
-		r.Info = make(map[string]float64)
-	}
-	r.Info["info."+name+".wall_seconds"] = d.Seconds()
-}
-
 // WriteFile writes the report as indented JSON (keys sorted by
 // encoding/json's map ordering) with a trailing newline.
 func (r *Report) WriteFile(path string) error {

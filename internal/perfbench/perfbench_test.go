@@ -141,7 +141,7 @@ func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "bench.json")
 	r := report(map[string]float64{"erasure.encode.m4_n8.mbps": 1234.5})
 	r.GoOS, r.GoArch, r.NumCPU = "linux", "amd64", 8
-	r.AddWallTime("quick_all", 0) // zero duration still records the key
+	r.Info = map[string]float64{"info.quick_all.wall_seconds": 0}
 	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

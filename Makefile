@@ -131,7 +131,7 @@ lint-http:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 20s
-	$(GO) test ./internal/core -fuzz FuzzDecodeAppMsg -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeAppMsg -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzResponderBlob -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayMachine -fuzztime 20s

@@ -102,28 +102,28 @@ func TestProtocolStrings(t *testing.T) {
 }
 
 func TestSegmentEncodingRoundTrip(t *testing.T) {
-	seg := segmentMsg{MID: 7, Index: 2, Total: 8, Needed: 4, Data: []byte{1, 2, 3}}
-	m, err := decodeAppMsg(seg.encode())
+	seg := Msg{Kind: kindSegment, MID: 7, Index: 2, Total: 8, Needed: 4, Data: []byte{1, 2, 3}}
+	m, err := decodeAppMsg(seg.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kind != kindSegment || m.seg.MID != 7 || m.seg.Index != 2 || m.seg.Total != 8 ||
-		m.seg.Needed != 4 || string(m.seg.Data) != string([]byte{1, 2, 3}) {
-		t.Fatalf("decoded %+v", m.seg)
+	if m.kind != kindSegment || m.msg.MID != 7 || m.msg.Index != 2 || m.msg.Total != 8 ||
+		m.msg.Needed != 4 || string(m.msg.Data) != string([]byte{1, 2, 3}) {
+		t.Fatalf("decoded %+v", m.msg)
 	}
-	if got := len(seg.encode()); got != segmentWireOverhead+3 {
+	if got := len(seg.Encode()); got != segmentWireOverhead+3 {
 		t.Fatalf("encoded size %d, want %d", got, segmentWireOverhead+3)
 	}
 
-	ack := segAckMsg{MID: 9, Index: 1}
-	m, err = decodeAppMsg(ack.encode())
-	if err != nil || m.kind != kindSegAck || m.ack != ack {
+	ack := Msg{Kind: kindSegAck, MID: 9, Index: 1}
+	m, err = decodeAppMsg(ack.Encode())
+	if err != nil || m.kind != kindSegAck || m.msg.MID != 9 || m.msg.Index != 1 {
 		t.Fatalf("ack round trip: %+v, %v", m, err)
 	}
 
-	resp := respSegMsg{MID: 11, Index: 0, Total: 4, Needed: 2, Data: []byte("r")}
-	m, err = decodeAppMsg(resp.encode())
-	if err != nil || m.kind != kindRespSeg || m.resp.MID != 11 || string(m.resp.Data) != "r" {
+	resp := Msg{Kind: kindRespSeg, MID: 11, Index: 0, Total: 4, Needed: 2, Data: []byte("r")}
+	m, err = decodeAppMsg(resp.Encode())
+	if err != nil || m.kind != kindRespSeg || m.msg.MID != 11 || string(m.msg.Data) != "r" {
 		t.Fatalf("resp round trip: %+v, %v", m, err)
 	}
 }
@@ -136,7 +136,7 @@ func TestDecodeAppMsgRejectsGarbage(t *testing.T) {
 		t.Error("empty message accepted")
 	}
 	// Trailing garbage after a valid ack.
-	b := append(segAckMsg{MID: 1, Index: 0}.encode(), 0xff)
+	b := append(Msg{Kind: kindSegAck, MID: 1, Index: 0}.Encode(), 0xff)
 	if _, err := decodeAppMsg(b); err == nil {
 		t.Error("trailing bytes accepted")
 	}

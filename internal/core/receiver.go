@@ -23,11 +23,11 @@ type DeliveredFunc func(mid uint64, data []byte, at sim.Time)
 // sweep either way.
 const inboundTTL = 30 * sim.Minute
 
-// Receiver is the responder-side application: it collects coded
-// segments by message ID, acknowledges each (feeding the initiator's
-// failure detector), reconstructs the message once m distinct segments
-// arrived (§4.2), and can erasure-code a response back over the
-// delivering paths.
+// Receiver is the responder-side application: it feeds coded segments
+// to a Collector by message ID, acknowledges each (feeding the
+// initiator's failure detector), delivers the message once m distinct
+// segments rebuilt it (§4.2), and can erasure-code a response back over
+// the delivering paths.
 type Receiver struct {
 	id  netsim.NodeID
 	eng *sim.Engine
@@ -39,7 +39,8 @@ type Receiver struct {
 	tracer obs.Tracer
 	m      *worldMetrics
 
-	pending   map[uint64]*inbound
+	coll      *Collector
+	handles   map[uint64][]onion.ReplyHandle // per message: one per distinct delivering path
 	delivered uint64
 	badSegs   uint64
 }
@@ -61,16 +62,6 @@ type serviceHooks interface {
 // setServiceHooks installs the rendezvous handlers.
 func (r *Receiver) setServiceHooks(h serviceHooks) { r.hooks = h }
 
-type inbound struct {
-	needed, total int32
-	segs          map[int32]erasure.Segment
-	handles       []onion.ReplyHandle // one per distinct delivering path
-	handleSeen    map[netsim.NodeID]map[onion.StreamID]bool
-	done          bool
-	firstAt       sim.Time
-	expires       sim.Time
-}
-
 // NewReceiver creates the responder application for a node.
 func NewReceiver(id netsim.NodeID, eng *sim.Engine, onDelivered DeliveredFunc) *Receiver {
 	r := &Receiver{
@@ -78,7 +69,8 @@ func NewReceiver(id netsim.NodeID, eng *sim.Engine, onDelivered DeliveredFunc) *
 		eng:         eng,
 		onDelivered: onDelivered,
 		ackSegments: true,
-		pending:     make(map[uint64]*inbound),
+		coll:        NewCollector(inboundTTL),
+		handles:     make(map[uint64][]onion.ReplyHandle),
 	}
 	eng.Every(inboundTTL, inboundTTL, r.sweep)
 	return r
@@ -91,10 +83,10 @@ func (r *Receiver) Delivered() uint64 { return r.delivered }
 func (r *Receiver) SetOnDelivered(f DeliveredFunc) { r.onDelivered = f }
 
 func (r *Receiver) sweep() {
-	now := r.eng.Now()
-	for mid, in := range r.pending {
-		if in.expires <= now {
-			delete(r.pending, mid)
+	r.coll.Sweep(r.eng.Now())
+	for mid := range r.handles {
+		if !r.coll.Holds(mid) {
+			delete(r.handles, mid)
 		}
 	}
 }
@@ -107,108 +99,72 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		r.badSegs++
 		return
 	}
-	if msg.kind == kindProbe {
+	switch msg.kind {
+	case kindSegment:
+	case kindProbe:
 		// Probes are acknowledged but never delivered.
-		h.Reply(segAckMsg{MID: msg.probe.MID, Index: msg.probe.Index}.encode(), h.Flow)
+		h.Reply(Msg{Kind: kindSegAck, MID: msg.msg.MID, Index: msg.msg.Index}.Encode(), h.Flow)
 		return
-	}
-	if msg.kind == kindRegister || msg.kind == kindToService || msg.kind == kindServiceReply {
-		if r.hooks != nil {
-			if msg.kind == kindRegister {
-				r.hooks.handleRegister(h, msg.register)
-			} else {
-				r.hooks.handleService(h, msg.service)
-			}
-		} else {
+	case kindCover:
+		return
+	case kindRegister, kindToService, kindServiceReply:
+		if r.hooks == nil {
 			r.badSegs++ // service traffic at a node running no rendezvous
+		} else if msg.kind == kindRegister {
+			r.hooks.handleRegister(h, msg.register)
+		} else {
+			r.hooks.handleService(h, msg.service)
 		}
 		return
-	}
-	if msg.kind != kindSegment {
+	default:
 		r.badSegs++
 		return
 	}
-	seg := msg.seg
-	if !validCodeShape(seg.Needed, seg.Total) || seg.Index < 0 || seg.Index >= seg.Total {
-		r.badSegs++
-		return
-	}
-	in, ok := r.pending[seg.MID]
-	if !ok {
-		in = &inbound{
-			needed:     seg.Needed,
-			total:      seg.Total,
-			segs:       make(map[int32]erasure.Segment),
-			handleSeen: make(map[netsim.NodeID]map[onion.StreamID]bool),
-			firstAt:    r.eng.Now(),
-		}
-		r.pending[seg.MID] = in
-	}
-	in.expires = r.eng.Now() + inboundTTL
-	if in.needed != seg.Needed || in.total != seg.Total {
-		r.badSegs++ // inconsistent shape across segments of one MID
-		return
-	}
-	if _, dup := in.segs[seg.Index]; !dup {
-		in.segs[seg.Index] = erasure.Segment{Index: int(seg.Index), Data: seg.Data}
-	}
-	r.rememberHandle(in, h)
-	if r.ackSegments {
-		h.Reply(segAckMsg{MID: seg.MID, Index: seg.Index}.encode(), h.Flow)
-	}
-	if !in.done && int32(len(in.segs)) >= in.needed {
-		r.reconstruct(seg.MID, in, h.Flow)
-	}
-}
-
-func (r *Receiver) rememberHandle(in *inbound, h onion.ReplyHandle) {
-	// Track one handle per distinct (terminal relay, stream): these are
-	// the reverse paths a response can use.
-	relay := h.From()
-	streams := in.handleSeen[relay]
-	if streams == nil {
-		streams = make(map[onion.StreamID]bool)
-		in.handleSeen[relay] = streams
-	}
-	key := h.StreamID()
-	if !streams[key] {
-		streams[key] = true
-		in.handles = append(in.handles, h)
-	}
-}
-
-func (r *Receiver) reconstruct(mid uint64, in *inbound, flow *metrics.Flow) {
-	code, err := erasure.New(int(in.needed), int(in.total))
-	if err != nil {
-		r.badSegs++
-		return
-	}
-	segs := make([]erasure.Segment, 0, len(in.segs))
-	for _, s := range in.segs {
-		segs = append(segs, s)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		r.badSegs++
-		return
-	}
-	in.done = true
-	r.delivered++
+	seg := msg.msg
 	now := r.eng.Now()
+	v, ready, data, err := r.coll.Collect(seg.MID, seg.Needed, seg.Total, seg.Index, seg.Data, now)
+	if v == Rejected {
+		r.badSegs++
+		return
+	}
+	r.rememberHandle(seg.MID, h)
+	if r.ackSegments {
+		h.Reply(Msg{Kind: kindSegAck, MID: seg.MID, Index: seg.Index}.Encode(), h.Flow)
+	}
+	if ready == nil {
+		return
+	}
+	if err != nil {
+		r.badSegs++
+		return
+	}
+	r.delivered++
 	if r.m != nil {
 		r.m.recvDelivered.Inc()
-		r.m.reconstructMs.Observe(float64(now-in.firstAt) / float64(sim.Millisecond))
+		r.m.reconstructMs.Observe(float64(now-ready.FirstAt) / float64(sim.Millisecond))
 	}
 	if r.tracer != nil {
 		r.tracer.Emit(obs.Event{
 			Type: obs.SegmentReconstructed, At: int64(now),
-			Node: int(r.id), Peer: -1, ID: mid,
-			Seq: int64(len(in.segs)), Slot: -1, Hop: -1, Size: len(data),
+			Node: int(r.id), Peer: -1, ID: seg.MID,
+			Seq: int64(len(ready.Segs)), Slot: -1, Hop: -1, Size: len(data),
 		})
 	}
 	if r.onDelivered != nil {
-		r.onDelivered(mid, data, now)
+		r.onDelivered(seg.MID, data, now)
 	}
+}
+
+// rememberHandle keeps one handle per distinct (terminal relay, stream):
+// these are the reverse paths a response can use.
+func (r *Receiver) rememberHandle(mid uint64, h onion.ReplyHandle) {
+	hs := r.handles[mid]
+	for _, old := range hs {
+		if old.From() == h.From() && old.StreamID() == h.StreamID() {
+			return
+		}
+	}
+	r.handles[mid] = append(hs, h)
 }
 
 // Respond erasure-codes a response with the same shape as the request
@@ -216,14 +172,15 @@ func (r *Receiver) reconstruct(mid uint64, in *inbound, flow *metrics.Flow) {
 // request, distributed round-robin (§4.2: "sends the message segments
 // back over the k paths"). It returns the number of segments sent.
 func (r *Receiver) Respond(mid uint64, data []byte, flow *metrics.Flow) (int, error) {
-	in, ok := r.pending[mid]
-	if !ok || !in.done {
+	needed, total, ok := r.coll.Done(mid)
+	if !ok {
 		return 0, fmt.Errorf("core: no reconstructed message %d to respond to", mid)
 	}
-	if len(in.handles) == 0 {
+	handles := r.handles[mid]
+	if len(handles) == 0 {
 		return 0, fmt.Errorf("core: no reverse paths for message %d", mid)
 	}
-	code, err := erasure.New(int(in.needed), int(in.total))
+	code, err := erasure.New(int(needed), int(total))
 	if err != nil {
 		return 0, err
 	}
@@ -233,15 +190,16 @@ func (r *Receiver) Respond(mid uint64, data []byte, flow *metrics.Flow) (int, er
 	}
 	sent := 0
 	for i, s := range segs {
-		h := in.handles[i%len(in.handles)]
-		msg := respSegMsg{
+		h := handles[i%len(handles)]
+		msg := Msg{
+			Kind:   kindRespSeg,
 			MID:    mid,
 			Index:  int32(s.Index),
-			Total:  in.total,
-			Needed: in.needed,
+			Total:  total,
+			Needed: needed,
 			Data:   s.Data,
 		}
-		if h.Reply(msg.encode(), flow) {
+		if h.Reply(msg.Encode(), flow) {
 			sent++
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/sim"
@@ -241,43 +240,13 @@ func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) 
 // handleInbound collects kindInbound segments arriving on the reverse
 // paths and reconstructs conversations.
 func (s *Session) handleInbound(msg serviceSegMsg) {
-	if !validCodeShape(msg.Needed, msg.Total) || msg.Index < 0 || msg.Index >= msg.Total {
+	now := s.w.Eng.Now()
+	s.convs.SweepDue(now)
+	_, ready, data, err := s.convs.Collect(msg.Conv, msg.Needed, msg.Total, msg.Index, msg.Data, now)
+	if ready == nil || err != nil {
 		return
 	}
-	c := s.inbound[msg.Conv]
-	if c == nil {
-		c = &inboundConv{segs: make(map[int32]erasure.Segment)}
-		s.inbound[msg.Conv] = c
-	}
-	if c.done {
-		return
-	}
-	if _, dup := c.segs[msg.Index]; dup {
-		return
-	}
-	c.segs[msg.Index] = erasure.Segment{Index: int(msg.Index), Data: msg.Data}
-	if int32(len(c.segs)) < msg.Needed {
-		return
-	}
-	code, err := erasure.New(int(msg.Needed), int(msg.Total))
-	if err != nil {
-		return
-	}
-	segs := make([]erasure.Segment, 0, len(c.segs))
-	for _, sg := range c.segs {
-		segs = append(segs, sg)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		return
-	}
-	c.done = true
 	if s.OnInbound != nil {
-		s.OnInbound(msg.Conv, data, s.w.Eng.Now())
+		s.OnInbound(msg.Conv, data, now)
 	}
-}
-
-type inboundConv struct {
-	segs map[int32]erasure.Segment
-	done bool
 }

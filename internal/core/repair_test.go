@@ -214,12 +214,12 @@ func TestProbesAreNotDelivered(t *testing.T) {
 }
 
 func TestProbeEncodingRoundTrip(t *testing.T) {
-	p := probeMsg{MID: 77, Index: 3}
-	m, err := decodeAppMsg(p.encode())
+	p := Msg{Kind: kindProbe, MID: 77, Index: 3}
+	m, err := decodeAppMsg(p.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kind != kindProbe || m.probe != p {
+	if m.kind != kindProbe || m.msg.MID != p.MID || m.msg.Index != p.Index {
 		t.Fatalf("decoded %+v", m)
 	}
 }

@@ -21,85 +21,72 @@ const (
 	kindToService    byte = 6 // initiator → rendezvous: coded segment for a tag
 	kindInbound      byte = 7 // rendezvous → either endpoint (reverse path): forwarded segment
 	kindServiceReply byte = 8 // hidden responder → rendezvous: coded reply segment
+
+	// kindCover is sheddable cover padding (§4.6) on a live session:
+	// the responder counts and discards it.
+	kindCover byte = 9
 )
 
-// segmentMsg is one coded message segment (§4.2): the message ID that
-// lets the responder correlate segments, the segment's index, the code
-// shape (n, m) needed to rebuild the decoder, and the coded bytes.
-type segmentMsg struct {
-	MID    uint64
-	Index  int32
-	Total  int32 // n
-	Needed int32 // m
-	Data   []byte
+// Msg is one application message of the kinds keyed by a message ID.
+// Its Kind selects the meaningful fields:
+//   - kindSegment (MsgSegment): one coded message segment (§4.2): the
+//     message ID that lets the responder correlate segments, the
+//     segment's Index, the code shape (Total = n, Needed = m) needed to
+//     rebuild the decoder, and the coded bytes in Data.
+//   - kindRespSeg: one coded segment of a response, correlated to the
+//     request by MID; fields as for a segment.
+//   - kindSegAck (MsgAck): acknowledges segment Index of MID (§4.5's
+//     end-to-end acks), or echoes a probe.
+//   - kindProbe (MsgProbe): a per-path liveness probe; MID is its nonce
+//     and Index the probed path slot. The responder acknowledges it
+//     like a segment but never delivers anything to the application.
+//     Probes double as the §4.3 path-refreshing messages ("the payload
+//     messages can serve the purpose of refreshing messages").
+//   - kindCover (MsgCover): cover padding in Data.
+//
+// The socket transport (livenet) speaks the same messages through the
+// exported kinds, Encode and DecodeMsg.
+type Msg struct {
+	Kind                 byte
+	MID                  uint64
+	Index, Total, Needed int32
+	Data                 []byte
 }
 
-func (s segmentMsg) encode() []byte {
+// The kinds a Msg carries on a live session.
+const (
+	MsgSegment = kindSegment
+	MsgAck     = kindSegAck
+	MsgProbe   = kindProbe
+	MsgCover   = kindCover
+)
+
+// Encode returns the message's wire form; nil for a kind Msg does not
+// carry.
+func (m Msg) Encode() []byte {
 	w := wire.NewWriter()
-	w.Byte(kindSegment)
-	w.Uint64(s.MID)
-	w.Int32(s.Index)
-	w.Int32(s.Total)
-	w.Int32(s.Needed)
-	w.Bytes32(s.Data)
+	w.Byte(m.Kind)
+	switch m.Kind {
+	case kindSegment, kindRespSeg:
+		w.Uint64(m.MID)
+		w.Int32(m.Index)
+		w.Int32(m.Total)
+		w.Int32(m.Needed)
+		w.Bytes32(m.Data)
+	case kindSegAck, kindProbe:
+		w.Uint64(m.MID)
+		w.Int32(m.Index)
+	case kindCover:
+		w.Bytes32(m.Data)
+	default:
+		return nil
+	}
 	return w.Bytes()
 }
 
-// segmentWireOverhead is the encoding overhead of a segmentMsg beyond
-// its data bytes.
+// segmentWireOverhead is the encoding overhead of a segment beyond its
+// data bytes.
 const segmentWireOverhead = 1 + 8 + 4 + 4 + 4 + 4
-
-// segAckMsg acknowledges one received segment (§4.5's end-to-end acks).
-type segAckMsg struct {
-	MID   uint64
-	Index int32
-}
-
-func (s segAckMsg) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(kindSegAck)
-	w.Uint64(s.MID)
-	w.Int32(s.Index)
-	return w.Bytes()
-}
-
-// probeMsg is a per-path liveness probe: the responder acknowledges it
-// like a segment but never delivers anything to the application. Probes
-// double as the §4.3 path-refreshing messages ("the payload messages can
-// serve the purpose of refreshing messages").
-type probeMsg struct {
-	MID   uint64
-	Index int32 // the probed path slot
-}
-
-func (p probeMsg) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(kindProbe)
-	w.Uint64(p.MID)
-	w.Int32(p.Index)
-	return w.Bytes()
-}
-
-// respSegMsg is one coded segment of a response message, correlated to
-// the request by MID.
-type respSegMsg struct {
-	MID    uint64
-	Index  int32
-	Total  int32
-	Needed int32
-	Data   []byte
-}
-
-func (s respSegMsg) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(kindRespSeg)
-	w.Uint64(s.MID)
-	w.Int32(s.Index)
-	w.Int32(s.Total)
-	w.Int32(s.Needed)
-	w.Bytes32(s.Data)
-	return w.Bytes()
-}
 
 // registerMsg announces a hidden service at a rendezvous node. Each
 // copy arriving over a distinct path gives the rendezvous one reverse
@@ -144,10 +131,7 @@ func (s serviceSegMsg) encode() []byte {
 // appMsg is the decoded union of the application message kinds.
 type appMsg struct {
 	kind     byte
-	seg      segmentMsg
-	ack      segAckMsg
-	resp     respSegMsg
-	probe    probeMsg
+	msg      Msg // segment, response segment, ack, probe or cover
 	register registerMsg
 	service  serviceSegMsg
 }
@@ -159,18 +143,13 @@ func decodeAppMsg(b []byte) (appMsg, error) {
 	var m appMsg
 	m.kind = kind
 	switch kind {
-	case kindSegment:
-		m.seg = segmentMsg{
-			MID:    rd.Uint64(),
-			Index:  rd.Int32(),
-			Total:  rd.Int32(),
-			Needed: rd.Int32(),
-		}
-		m.seg.Data = append([]byte(nil), rd.Bytes32()...)
-	case kindSegAck:
-		m.ack = segAckMsg{MID: rd.Uint64(), Index: rd.Int32()}
-	case kindProbe:
-		m.probe = probeMsg{MID: rd.Uint64(), Index: rd.Int32()}
+	case kindSegment, kindRespSeg:
+		m.msg = Msg{Kind: kind, MID: rd.Uint64(), Index: rd.Int32(), Total: rd.Int32(), Needed: rd.Int32()}
+		m.msg.Data = append([]byte(nil), rd.Bytes32()...)
+	case kindSegAck, kindProbe:
+		m.msg = Msg{Kind: kind, MID: rd.Uint64(), Index: rd.Int32()}
+	case kindCover:
+		m.msg = Msg{Kind: kind, Data: rd.Bytes32()}
 	case kindRegister:
 		m.register = registerMsg{Tag: rd.Uint64()}
 	case kindToService, kindInbound, kindServiceReply:
@@ -183,14 +162,6 @@ func decodeAppMsg(b []byte) (appMsg, error) {
 			Needed: rd.Int32(),
 		}
 		m.service.Data = append([]byte(nil), rd.Bytes32()...)
-	case kindRespSeg:
-		m.resp = respSegMsg{
-			MID:    rd.Uint64(),
-			Index:  rd.Int32(),
-			Total:  rd.Int32(),
-			Needed: rd.Int32(),
-		}
-		m.resp.Data = append([]byte(nil), rd.Bytes32()...)
 	default:
 		return appMsg{}, fmt.Errorf("core: unknown application message kind %d", kind)
 	}
@@ -204,4 +175,14 @@ func decodeAppMsg(b []byte) (appMsg, error) {
 // decoder from untrusted input.
 func validCodeShape(needed, total int32) bool {
 	return needed >= 1 && total >= needed && total <= int32(erasure.MaxSegments)
+}
+
+// DecodeMsg parses a segment, response segment, ack, probe or cover
+// message; the rendezvous kinds are an error.
+func DecodeMsg(b []byte) (Msg, error) {
+	am, err := decodeAppMsg(b)
+	if err == nil && am.msg.Kind == 0 {
+		err = fmt.Errorf("core: message kind %d has no Msg form", am.kind)
+	}
+	return am.msg, err
 }

@@ -49,7 +49,8 @@ type Session struct {
 	repair      bool
 
 	pending map[uint64]*outMsg
-	inbound map[uint64]*inboundConv
+	resps   *Collector // response segments by request MID
+	convs   *Collector // rendezvous-forwarded (kindInbound) segments by conversation
 
 	stats SessionStats
 
@@ -78,10 +79,8 @@ type pathSlot struct {
 }
 
 type outMsg struct {
-	sentAt  sim.Time
-	bySlot  map[int][]int32 // slot -> segment indices awaiting ack
-	respSeg map[int32]erasure.Segment
-	respGot bool
+	sentAt sim.Time
+	bySlot map[int][]int32 // slot -> segment indices awaiting ack
 }
 
 // NewSession creates a session; Establish starts it.
@@ -105,7 +104,8 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		code:      code,
 		provider:  w.Provider(self),
 		pending:   make(map[uint64]*outMsg),
-		inbound:   make(map[uint64]*inboundConv),
+		resps:     NewCollector(inboundTTL),
+		convs:     NewCollector(inboundTTL),
 	}
 	return s, nil
 }
@@ -274,11 +274,7 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	}
 	mid := s.w.Eng.RNG().Uint64()
 	assign := s.allocate(len(segs))
-	out := &outMsg{
-		sentAt:  s.w.Eng.Now(),
-		bySlot:  make(map[int][]int32),
-		respSeg: make(map[int32]erasure.Segment),
-	}
+	out := &outMsg{sentAt: s.w.Eng.Now(), bySlot: make(map[int][]int32)}
 	initiator := s.w.Nodes[s.self].Initiator
 	m, n := s.params.codeShape()
 	for slotIdx, segIdxs := range assign {
@@ -294,7 +290,8 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 			// paths are lost (the Bernoulli model of §4.7).
 			if s.repair && dest == s.responder && len(segIdxs) == 1 {
 				si := segIdxs[0]
-				msg := segmentMsg{
+				msg := Msg{
+					Kind:   kindSegment,
 					MID:    mid,
 					Index:  int32(segs[si].Index),
 					Total:  int32(n),
@@ -302,7 +299,7 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 					Data:   segs[si].Data,
 				}
 				tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-				if s.sendOnDemand(slot, msg.encode(), tag) {
+				if s.rebuildSlot(slot, msg.Encode(), tag) {
 					out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
 					s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slotIdx)
 				}
@@ -310,7 +307,8 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 			continue
 		}
 		for _, si := range segIdxs {
-			msg := segmentMsg{
+			msg := Msg{
+				Kind:   kindSegment,
 				MID:    mid,
 				Index:  int32(segs[si].Index),
 				Total:  int32(n),
@@ -318,7 +316,7 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 				Data:   segs[si].Data,
 			}
 			tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-			if err := initiator.SendDataTagged(slot.path, dest, msg.encode(), &s.stats.DataFlow, tag); err != nil {
+			if err := initiator.SendDataTagged(slot.path, dest, msg.Encode(), &s.stats.DataFlow, tag); err != nil {
 				continue
 			}
 			out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
@@ -522,19 +520,15 @@ func (s *Session) EnableRepair(probeInterval sim.Time) {
 // timeout; unacked probes mark (and, in repair mode, replace) the path.
 func (s *Session) sendProbes() {
 	mid := s.w.Eng.RNG().Uint64()
-	out := &outMsg{
-		sentAt:  s.w.Eng.Now(),
-		bySlot:  make(map[int][]int32),
-		respSeg: make(map[int32]erasure.Segment),
-	}
+	out := &outMsg{sentAt: s.w.Eng.Now(), bySlot: make(map[int][]int32)}
 	initiator := s.w.Nodes[s.self].Initiator
 	sentAny := false
 	for i, sl := range s.slots {
 		if sl == nil || !sl.alive {
 			continue
 		}
-		probe := probeMsg{MID: mid, Index: int32(i)}
-		if err := initiator.SendData(sl.path, probe.encode(), &s.stats.DataFlow); err != nil {
+		probe := Msg{Kind: kindProbe, MID: mid, Index: int32(i)}
+		if err := initiator.SendData(sl.path, probe.Encode(), &s.stats.DataFlow); err != nil {
 			continue
 		}
 		out.bySlot[i] = append(out.bySlot[i], int32(i))
@@ -559,15 +553,15 @@ func (s *Session) handleReverse(p *onion.Path, plain []byte) {
 	}
 	switch msg.kind {
 	case kindSegAck:
-		s.handleAck(p, msg.ack)
+		s.handleAck(p, msg.msg)
 	case kindRespSeg:
-		s.handleRespSeg(msg.resp)
+		s.handleRespSeg(msg.msg)
 	case kindInbound:
 		s.handleInbound(msg.service)
 	}
 }
 
-func (s *Session) handleAck(p *onion.Path, ack segAckMsg) {
+func (s *Session) handleAck(p *onion.Path, ack Msg) {
 	out, ok := s.pending[ack.MID]
 	if !ok {
 		return
@@ -588,38 +582,20 @@ func (s *Session) handleAck(p *onion.Path, ack segAckMsg) {
 	}
 }
 
-func (s *Session) handleRespSeg(rs respSegMsg) {
-	out, ok := s.pending[rs.MID]
-	if !ok || out.respGot {
+func (s *Session) handleRespSeg(rs Msg) {
+	if _, ok := s.pending[rs.MID]; !ok {
 		return
 	}
-	if !validCodeShape(rs.Needed, rs.Total) || rs.Index < 0 || rs.Index >= rs.Total {
+	now := s.w.Eng.Now()
+	s.resps.SweepDue(now)
+	_, ready, data, err := s.resps.Collect(rs.MID, rs.Needed, rs.Total, rs.Index, rs.Data, now)
+	if ready == nil || err != nil {
 		return
 	}
-	if _, dup := out.respSeg[rs.Index]; dup {
-		return
-	}
-	out.respSeg[rs.Index] = erasure.Segment{Index: int(rs.Index), Data: rs.Data}
-	if int32(len(out.respSeg)) < rs.Needed {
-		return
-	}
-	code, err := erasure.New(int(rs.Needed), int(rs.Total))
-	if err != nil {
-		return
-	}
-	segs := make([]erasure.Segment, 0, len(out.respSeg))
-	for _, sg := range out.respSeg {
-		segs = append(segs, sg)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		return
-	}
-	out.respGot = true
 	s.stats.ResponsesReceived++
 	s.w.m.responsesReceived.Inc()
 	if s.OnResponse != nil {
-		s.OnResponse(rs.MID, data, s.w.Eng.Now())
+		s.OnResponse(rs.MID, data, now)
 	}
 }
 
@@ -654,46 +630,6 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 	})
 }
 
-// sendOnDemand forms a replacement path for a dead slot with the
-// payload riding the construction onion (§4.2's combined mode). It
-// reports whether the combined message entered the network; the slot
-// revives when the construction ack arrives.
-func (s *Session) sendOnDemand(sl *pathSlot, plain []byte, tag obs.Tag) bool {
-	if sl.repairing {
-		return false
-	}
-	relays, ok := s.freshRelays(sl)
-	if !ok {
-		return false
-	}
-	initiator := s.w.Nodes[s.self].Initiator
-	old := sl.path
-	sl.repairing = true
-	p, err := initiator.ConstructWithDataTagged(relays, s.responder, plain, &s.stats.DataFlow, tag, func(p *onion.Path, ok bool) {
-		sl.repairing = false
-		if !ok {
-			s.w.unbindPath(p)
-			initiator.Forget(p)
-			return
-		}
-		if old != nil {
-			s.w.unbindPath(old)
-			initiator.Forget(old)
-		}
-		sl.path = p
-		sl.alive = true
-		sl.lastAck = s.w.Eng.Now()
-		s.stats.PathsReplaced++
-		s.notePathRepaired(p, sl)
-	})
-	if err != nil {
-		sl.repairing = false
-		return false
-	}
-	s.w.bindPath(p, s)
-	return true
-}
-
 // notePathRepaired records a successful path replacement (§4.5
 // reconstruction) in the registry and the trace.
 func (s *Session) notePathRepaired(p *onion.Path, sl *pathSlot) {
@@ -726,19 +662,26 @@ func (s *Session) freshRelays(sl *pathSlot) ([]netsim.NodeID, bool) {
 }
 
 // replaceSlot constructs a replacement path for a slot (reconstruction
-// per §4.5). The old path stays in use until the replacement stands.
-func (s *Session) replaceSlot(sl *pathSlot) {
+// per §4.5).
+func (s *Session) replaceSlot(sl *pathSlot) { s.rebuildSlot(sl, nil, obs.Tag{}) }
+
+// rebuildSlot constructs a replacement path for a slot through fresh
+// relays, carrying plain on the construction onion when it is set
+// (§4.2's combined mode, used to send on demand over a dead slot). The
+// old path stays in use until the replacement stands; the slot revives
+// when the construction ack arrives. It reports whether the
+// construction entered the network.
+func (s *Session) rebuildSlot(sl *pathSlot, plain []byte, tag obs.Tag) bool {
 	if sl.repairing {
-		return
+		return false
 	}
 	relays, ok := s.freshRelays(sl)
 	if !ok {
-		return
+		return false
 	}
 	initiator := s.w.Nodes[s.self].Initiator
 	old := sl.path
-	sl.repairing = true
-	p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, func(p *onion.Path, ok bool) {
+	done := func(p *onion.Path, ok bool) {
 		sl.repairing = false
 		if !ok {
 			s.w.unbindPath(p)
@@ -754,10 +697,19 @@ func (s *Session) replaceSlot(sl *pathSlot) {
 		sl.lastAck = s.w.Eng.Now()
 		s.stats.PathsReplaced++
 		s.notePathRepaired(p, sl)
-	})
+	}
+	sl.repairing = true
+	var p *onion.Path
+	var err error
+	if plain == nil {
+		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, done)
+	} else {
+		p, err = initiator.ConstructWithDataTagged(relays, s.responder, plain, &s.stats.DataFlow, tag, done)
+	}
 	if err != nil {
 		sl.repairing = false
-		return
+		return false
 	}
 	s.w.bindPath(p, s)
+	return true
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
+
+	"resilientmix/internal/core"
 )
 
 // FuzzReadFrame reads an arbitrary byte stream frame after frame, as a
@@ -43,36 +45,23 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLive feeds arbitrary responder payloads to the session's
-// application decoder: it must never panic, and every segment, ack or
-// probe it accepts must re-encode to the same bytes.
+// FuzzDecodeLive feeds arbitrary responder payloads to the decoder the
+// live collector and the session's ack loop parse with: it must never
+// panic, and every message it accepts must re-encode to the same bytes.
 func FuzzDecodeLive(f *testing.F) {
-	f.Add(liveSegment{mid: 7, index: 1, total: 4, needed: 2, data: []byte("segment")}.encode())
-	f.Add(liveAck{mid: 7, index: 3}.encode())
-	f.Add(encodeProbe(liveKindProbe, 42))
-	f.Add(encodeProbe(liveKindProbeAck, 42))
-	f.Add(encodeCover(make([]byte, 16)))
-	f.Add([]byte{liveKindSegment, 0xff, 0xff, 0xff, 0xff})
+	f.Add(core.Msg{Kind: core.MsgSegment, MID: 7, Index: 1, Total: 4, Needed: 2, Data: []byte("segment")}.Encode())
+	f.Add(core.Msg{Kind: core.MsgAck, MID: 7, Index: 3}.Encode())
+	f.Add(core.Msg{Kind: core.MsgProbe, MID: 42, Index: 1}.Encode())
+	f.Add(core.Msg{Kind: core.MsgAck, MID: 42, Index: 1}.Encode())
+	f.Add(core.Msg{Kind: core.MsgCover, Data: make([]byte, 16)}.Encode())
+	f.Add([]byte{core.MsgSegment, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		kind, seg, ack, nonce, err := decodeLive(b)
+		msg, err := core.DecodeMsg(b)
 		if err != nil {
 			return
 		}
-		var again []byte
-		switch kind {
-		case liveKindSegment:
-			again = seg.encode()
-		case liveKindAck:
-			again = ack.encode()
-		case liveKindProbe, liveKindProbeAck:
-			again = encodeProbe(kind, nonce)
-		case liveKindCover:
-			return
-		default:
-			t.Fatalf("decodeLive accepted unknown kind %d", kind)
-		}
-		if !bytes.Equal(again, b) {
-			t.Fatalf("kind %d re-encodes to %x, input was %x", kind, again, b)
+		if again := msg.Encode(); !bytes.Equal(again, b) {
+			t.Fatalf("kind %d re-encodes to %x, input was %x", msg.Kind, again, b)
 		}
 	})
 }

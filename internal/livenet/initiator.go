@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -23,6 +24,8 @@ type Path struct {
 	respKey       []byte
 	sealedRespKey []byte
 	replies       chan []byte
+	down          chan struct{} // closed by Teardown
+	downOnce      sync.Once
 }
 
 // preparePath validates the endpoints, generates the per-hop and
@@ -73,6 +76,7 @@ func (n *Node) preparePath(relays []netsim.NodeID, responder netsim.NodeID) (*Pa
 		respKey:       respKey,
 		sealedRespKey: sealed,
 		replies:       make(chan []byte, 64),
+		down:          make(chan struct{}),
 	}, onionBytes, nil
 }
 
@@ -212,6 +216,7 @@ func (p *Path) Teardown() {
 	p.node.mu.Lock()
 	delete(p.node.paths, p.SID)
 	p.node.mu.Unlock()
+	p.downOnce.Do(func() { close(p.down) })
 }
 
 // deliverReverse peels all layers of a reverse message and hands the

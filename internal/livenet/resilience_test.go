@@ -7,11 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs"
 )
 
 // silentServer accepts TCP connections and never answers — the shape
@@ -432,5 +436,118 @@ func TestSendBoundedInflight(t *testing.T) {
 	}
 	if v := e.c.nodes[0].Metrics().Counter("session.send_rejected").Value(); v != 1 {
 		t.Fatalf("session.send_rejected = %d, want 1", v)
+	}
+}
+
+// TestSendInflightBoundUnderConcurrency: concurrent senders cannot
+// overshoot MaxInflight between the bound check and the insert.
+func TestSendInflightBoundUnderConcurrency(t *testing.T) {
+	e := newLiveSessionEnv(t, 6, 5)
+	const bound, senders = 4, 32
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}}, 5, SessionOptions{
+		R:           1,
+		AckTimeout:  30 * time.Second, // nothing resolves during the test
+		MaxInflight: bound,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	e.c.nodes[0].BlackholePeer(1, 0)
+	var accepted atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := sess.Send([]byte("race")); err == nil {
+				accepted.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := accepted.Load(); got != bound {
+		t.Fatalf("%d concurrent sends accepted, want exactly MaxInflight=%d", got, bound)
+	}
+	if v := e.c.nodes[0].Metrics().Counter("session.send_rejected").Value(); v != senders-bound {
+		t.Fatalf("session.send_rejected = %d, want %d", v, senders-bound)
+	}
+}
+
+// settleGoroutines waits up to 5s for the goroutine count to drop to
+// at most want (or, for want < 0, to hold still for 200ms), and returns
+// the last count seen.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	last, still := -1, 0
+	for {
+		n := runtime.NumGoroutine()
+		if n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+		if (want >= 0 && n <= want) || (want < 0 && still == 10) || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// forceRepair condemns a slot and waits for the repair worker to
+// rebuild it.
+func forceRepair(t *testing.T, s *LiveSession, slot int) {
+	t.Helper()
+	repaired := s.node.reg.Counter("live.repair.repaired")
+	before := repaired.Value()
+	s.mu.Lock()
+	s.markDeadLocked(slot, s.paths[slot], obs.ReasonProbeTimeout)
+	s.mu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for repaired.Value() == before {
+		if time.Now().After(deadline) {
+			t.Fatalf("slot %d never repaired", slot)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSessionLeavesNoGoroutines: every path's ack reader ends when the
+// path is replaced by a repair or the session is torn down.
+func TestSessionLeavesNoGoroutines(t *testing.T) {
+	e := newLiveSessionEnv(t, 6, 5)
+	// Build and drop one path over every relay first, so every link the
+	// session can use (and its goroutines) exists before the baseline.
+	for r := netsim.NodeID(1); r <= 4; r++ {
+		p, err := e.c.nodes[0].Construct([]netsim.NodeID{r}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Teardown()
+	}
+	base := settleGoroutines(-1)
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}}, 5, SessionOptions{
+		R:             1,
+		Repair:        true,
+		ProbeInterval: time.Hour, // repairs happen only when forced
+		AckTimeout:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := settleGoroutines(-1)
+	const repairs = 8
+	for i := 0; i < repairs; i++ {
+		forceRepair(t, sess, i%2)
+	}
+	if n := settleGoroutines(running); n-running >= repairs/2 {
+		t.Fatalf("goroutines grew from %d to %d over %d repairs", running, n, repairs)
+	}
+	sess.Teardown()
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Teardown, %d before the session", n, base)
 	}
 }

@@ -10,18 +10,22 @@ import (
 	"sync"
 	"time"
 
+	"resilientmix/internal/core"
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/retrypolicy"
-	"resilientmix/internal/wire"
+	"resilientmix/internal/sim"
 )
 
-// This file is SimEra over real sockets: a LiveSession owns k live onion
+// This file is SimEra over real sockets. A LiveSession owns k live onion
 // paths to one responder, erasure-codes each message over them (§4.7's
 // even allocation), collects end-to-end acknowledgments, and marks paths
-// dead on ack timeout (§4.5). The LiveCollector is the responder side:
-// it reassembles messages from any m segments and acks each one.
+// dead on ack timeout (§4.5). Its payloads are core's application
+// messages (core.Msg): the simulator's segment, ack and probe formats,
+// plus cover padding. The responder side is core's m-of-n collector
+// (core.Collector, shared with the simulator's Receiver); LiveCollector
+// drives it from the node's OnData under a mutex and acks each segment.
 //
 // With SessionOptions.Repair enabled the session becomes the paper's
 // full failure-resilient loop on a real network: a probe/echo liveness
@@ -33,117 +37,28 @@ import (
 // shedding cover traffic first — so operators see graceful degradation
 // instead of silent loss.
 
-// Application-layer kinds inside live payloads.
-const (
-	liveKindSegment byte = 1
-	liveKindAck     byte = 2
-	// liveKindProbe / liveKindProbeAck are the §4.5 liveness probes over
-	// real sockets: the initiator sends a nonce down the path; the
-	// responder echoes it back up the reverse path. A missed echo within
-	// the ack timeout condemns the path.
-	liveKindProbe    byte = 3
-	liveKindProbeAck byte = 4
-	// liveKindCover is sheddable cover traffic: random padding the
-	// responder counts and discards. Under degradation it is the first
-	// load shed.
-	liveKindCover byte = 5
-)
-
-type liveSegment struct {
-	mid    uint64
-	index  int32
-	total  int32
-	needed int32
-	data   []byte
-}
-
-func (s liveSegment) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindSegment)
-	w.Uint64(s.mid)
-	w.Int32(s.index)
-	w.Int32(s.total)
-	w.Int32(s.needed)
-	w.Bytes32(s.data)
-	return w.Bytes()
-}
-
-type liveAck struct {
-	mid   uint64
-	index int32
-}
-
-func (a liveAck) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindAck)
-	w.Uint64(a.mid)
-	w.Int32(a.index)
-	return w.Bytes()
-}
-
-// encodeProbe encodes a probe or probe-ack with its nonce.
-func encodeProbe(kind byte, nonce uint64) []byte {
-	w := wire.NewWriter()
-	w.Byte(kind)
-	w.Uint64(nonce)
-	return w.Bytes()
-}
-
-// encodeCover encodes a cover payload of random padding.
-func encodeCover(pad []byte) []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindCover)
-	w.Bytes32(pad)
-	return w.Bytes()
-}
-
-func decodeLive(b []byte) (kind byte, seg liveSegment, ack liveAck, nonce uint64, err error) {
-	rd := wire.NewReader(b)
-	kind = rd.Byte()
-	switch kind {
-	case liveKindSegment:
-		seg = liveSegment{
-			mid:    rd.Uint64(),
-			index:  rd.Int32(),
-			total:  rd.Int32(),
-			needed: rd.Int32(),
-		}
-		seg.data = append([]byte(nil), rd.Bytes32()...)
-	case liveKindAck:
-		ack = liveAck{mid: rd.Uint64(), index: rd.Int32()}
-	case liveKindProbe, liveKindProbeAck:
-		nonce = rd.Uint64()
-	case liveKindCover:
-		rd.Bytes32()
-	default:
-		return 0, seg, ack, 0, fmt.Errorf("livenet: unknown app kind %d", kind)
-	}
-	if e := rd.Done(); e != nil {
-		return 0, seg, ack, 0, e
-	}
-	return kind, seg, ack, nonce, nil
-}
+// collectorTTL is how long a LiveCollector remembers a message after
+// its last segment: well past the session's retransmit window
+// (MaxRetransmits × AckTimeout), so a late duplicate of a delivered
+// message is not delivered again.
+const collectorTTL = 10 * sim.Minute
 
 // LiveDelivered is invoked when the collector reconstructs a message.
 type LiveDelivered func(mid uint64, data []byte)
 
-// LiveCollector is the responder-side reassembler. Install its Handle
-// method as the node's OnData.
+// LiveCollector is the responder side of a live session. Install its
+// Handle method as the node's OnData.
 type LiveCollector struct {
 	mu        sync.Mutex
-	pending   map[uint64]map[int32]erasure.Segment
-	done      map[uint64]bool
+	coll      *core.Collector
+	clock     func() sim.Time
 	delivered LiveDelivered
 }
 
 // NewLiveCollector creates a collector delivering reconstructed
 // messages to the callback.
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
-	return &LiveCollector{
-		pending:   make(map[uint64]map[int32]erasure.Segment),
-		done:      make(map[uint64]bool),
-		delivered: delivered,
-	}
+	return &LiveCollector{coll: core.NewCollector(collectorTTL), clock: now, delivered: delivered}
 }
 
 // Handle is the node's OnData: it acks every segment and reconstructs
@@ -154,90 +69,67 @@ func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 // emits a SegmentReconstructed trace event, so live runs reconcile
 // with trace analytics exactly the way simulated runs do.
 func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
-	kind, seg, _, nonce, err := decodeLive(data)
+	msg, err := core.DecodeMsg(data)
 	if err != nil {
 		return
 	}
-	switch kind {
-	case liveKindProbe:
+	switch msg.Kind {
+	case core.MsgProbe:
 		// Echo the nonce back up the reverse path — the initiator's
 		// liveness detector keys on the round trip.
-		if h.node != nil {
-			h.node.reg.Counter("recv.probes").Inc()
-		}
-		h.Reply(encodeProbe(liveKindProbeAck, nonce))
+		h.count("recv.probes")
+		h.Reply(core.Msg{Kind: core.MsgAck, MID: msg.MID, Index: msg.Index}.Encode())
 		return
-	case liveKindCover:
-		if h.node != nil {
-			h.node.reg.Counter("recv.cover").Inc()
-		}
+	case core.MsgCover:
+		h.count("recv.cover")
 		return
-	case liveKindSegment:
+	case core.MsgSegment:
 	default:
 		return
 	}
-	if seg.needed < 1 || seg.total < seg.needed || seg.index < 0 || seg.index >= seg.total ||
-		seg.total > int32(erasure.MaxSegments) {
-		return
-	}
-	// Ack first — the initiator's failure detector keys on this.
-	h.Reply(liveAck{mid: seg.mid, index: seg.index}.encode())
-
+	at := c.clock()
 	c.mu.Lock()
-	if c.done[seg.mid] {
-		c.mu.Unlock()
-		if h.node != nil {
-			h.node.reg.Counter("recv.dup_segments").Inc()
-		}
-		return
-	}
-	segs := c.pending[seg.mid]
-	if segs == nil {
-		segs = make(map[int32]erasure.Segment)
-		c.pending[seg.mid] = segs
-	}
-	dup := false
-	if _, dup = segs[seg.index]; !dup {
-		segs[seg.index] = erasure.Segment{Index: int(seg.index), Data: seg.data}
-	}
-	ready := int32(len(segs)) >= seg.needed
-	var batch []erasure.Segment
-	if ready {
-		c.done[seg.mid] = true
-		delete(c.pending, seg.mid)
-		for _, s := range segs {
-			batch = append(batch, s)
-		}
-	}
+	c.coll.SweepDue(at)
+	v, ready := c.coll.Add(msg.MID, msg.Needed, msg.Total, msg.Index, msg.Data, at)
 	c.mu.Unlock()
-	if h.node != nil {
-		if dup {
-			h.node.reg.Counter("recv.dup_segments").Inc()
-		} else {
-			h.node.reg.Counter("recv.segments").Inc()
-		}
-	}
-	if !ready {
+	if v == core.Rejected {
 		return
 	}
-	code, err := erasure.New(int(seg.needed), int(seg.total))
-	if err != nil {
+	// Ack every accepted segment — the initiator's failure detector
+	// keys on this.
+	h.Reply(core.Msg{Kind: core.MsgAck, MID: msg.MID, Index: msg.Index}.Encode())
+	if v == core.Duplicate {
+		h.count("recv.dup_segments")
+	} else {
+		h.count("recv.segments")
+	}
+	if ready == nil {
 		return
 	}
-	msg, err := code.Reconstruct(batch)
+	out, err := ready.Decode()
+	c.mu.Lock()
+	c.coll.Finish(msg.MID, err == nil)
+	c.mu.Unlock()
 	if err != nil {
 		return
 	}
 	if h.node != nil {
 		h.node.reg.Counter("recv.delivered").Inc()
 		h.node.emit(obs.Event{
-			Type: obs.SegmentReconstructed, At: time.Now().UnixMicro(),
-			Node: int(h.node.cfg.ID), Peer: -1, ID: seg.mid,
-			Seq: int64(len(batch)), Slot: -1, Hop: -1, Size: len(msg),
+			Type: obs.SegmentReconstructed, At: int64(at),
+			Node: int(h.node.cfg.ID), Peer: -1, ID: msg.MID,
+			Seq: int64(len(ready.Segs)), Slot: -1, Hop: -1, Size: len(out),
 		})
 	}
 	if c.delivered != nil {
-		c.delivered(seg.mid, msg)
+		c.delivered(msg.MID, out)
+	}
+}
+
+// count bumps a registry counter of the handle's node, if it has one.
+func (h ReplyHandle) count(name string) {
+	if h.node != nil {
+		h.node.reg.Counter(name).Inc()
 	}
 }
 
@@ -407,10 +299,11 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 		}
 		s.paths = append(s.paths, p)
 		s.alive[i] = true
+		s.wg.Add(1)
 		go s.ackLoop(p)
 	}
 	if s.AlivePaths() < k/r {
-		cancel()
+		s.Teardown()
 		return nil, fmt.Errorf("livenet: only %d/%d paths constructed (need %d): %w",
 			s.AlivePaths(), k, k/r, firstErr)
 	}
@@ -436,13 +329,19 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 func (s *LiveSession) AlivePaths() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
+	return len(s.liveSlotsLocked())
+}
+
+// liveSlotsLocked returns the slots whose path is alive. Callers hold
+// s.mu.
+func (s *LiveSession) liveSlotsLocked() []int {
+	var slots []int
+	for i, a := range s.alive {
+		if a && s.paths[i] != nil {
+			slots = append(slots, i)
 		}
 	}
-	return n
+	return slots
 }
 
 // Degraded reports whether the session is running below its full path
@@ -456,13 +355,7 @@ func (s *LiveSession) Degraded() bool {
 // syncDegradedLocked recomputes the degraded flag and maintains the
 // node-wide degraded-session count and gauge. Callers hold s.mu.
 func (s *LiveSession) syncDegradedLocked() {
-	alive := 0
-	for _, a := range s.alive {
-		if a {
-			alive++
-		}
-	}
-	deg := alive < s.k
+	deg := len(s.liveSlotsLocked()) < s.k
 	if deg == s.degraded {
 		return
 	}
@@ -505,29 +398,35 @@ func (s *LiveSession) kickRepair() {
 
 // ackLoop consumes a path's reverse traffic, recording segment acks
 // and probe echoes. A message with m distinct acks resolves as
-// delivered immediately.
+// delivered immediately. It returns once the path is torn down or the
+// session ends; replies is never closed, since deliverReverse may still
+// send on it.
 func (s *LiveSession) ackLoop(p *Path) {
-	for body := range p.replies {
-		kind, _, ack, nonce, err := decodeLive(body)
-		if err != nil {
+	defer s.wg.Done()
+	for {
+		var body []byte
+		select {
+		case body = <-p.replies:
+		case <-p.down:
+			return
+		case <-s.quit:
+			return
+		}
+		ack, err := core.DecodeMsg(body)
+		if err != nil || ack.Kind != core.MsgAck {
 			continue
 		}
-		switch kind {
-		case liveKindAck:
-			s.mu.Lock()
-			if m := s.acked[ack.mid]; m != nil && !m[ack.index] {
-				m[ack.index] = true
-				s.node.reg.Counter("session.segments_acked").Inc()
-				if len(m) >= s.code.M() {
-					s.resolveLocked(ack.mid, nil)
-				}
+		s.mu.Lock()
+		if _, probe := s.probes[ack.MID]; probe {
+			delete(s.probes, ack.MID)
+		} else if m := s.acked[ack.MID]; m != nil && !m[ack.Index] {
+			m[ack.Index] = true
+			s.node.reg.Counter("session.segments_acked").Inc()
+			if len(m) >= s.code.M() {
+				s.resolveLocked(ack.MID, nil)
 			}
-			s.mu.Unlock()
-		case liveKindProbeAck:
-			s.mu.Lock()
-			delete(s.probes, nonce)
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -566,13 +465,6 @@ func (s *LiveSession) resolveLocked(mid uint64, err error) {
 // surviving or repaired paths until m distinct acks confirm delivery.
 // It returns the message id; Await blocks on the verdict.
 func (s *LiveSession) Send(data []byte) (uint64, error) {
-	s.mu.Lock()
-	if len(s.pending) >= s.opts.MaxInflight {
-		s.mu.Unlock()
-		s.node.reg.Counter("session.send_rejected").Inc()
-		return 0, errors.New("livenet: in-flight queue full")
-	}
-	s.mu.Unlock()
 	segs, err := s.code.Split(data)
 	if err != nil {
 		return 0, err
@@ -584,26 +476,26 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	mid := binary.BigEndian.Uint64(midBuf[:])
 	pm := &pendingMsg{segs: segs, done: make(chan struct{})}
 
+	// Check the in-flight bound and take the slot in one critical
+	// section, so concurrent senders cannot overshoot MaxInflight.
 	s.mu.Lock()
+	if len(s.pending) >= s.opts.MaxInflight {
+		s.mu.Unlock()
+		s.node.reg.Counter("session.send_rejected").Inc()
+		return 0, errors.New("livenet: in-flight queue full")
+	}
+	live := s.liveSlotsLocked()
+	if len(live) == 0 {
+		s.mu.Unlock()
+		return 0, errors.New("livenet: no live paths")
+	}
 	s.acked[mid] = make(map[int32]bool)
 	s.pending[mid] = pm
 	s.mu.Unlock()
-
 	// Initial round: segment i rides path slot i (even allocation).
-	var idxs []int32
-	s.mu.Lock()
-	for i, p := range s.paths {
-		if p != nil && s.alive[i] {
-			idxs = append(idxs, int32(segs[i].Index))
-		}
-	}
-	s.mu.Unlock()
-	if len(idxs) == 0 {
-		s.mu.Lock()
-		delete(s.pending, mid)
-		delete(s.acked, mid)
-		s.mu.Unlock()
-		return 0, errors.New("livenet: no live paths")
+	idxs := make([]int32, len(live))
+	for j, i := range live {
+		idxs[j] = int32(i)
 	}
 	s.node.reg.Counter("session.messages_sent").Inc()
 	jobs := s.sendRound(mid, pm, idxs)
@@ -616,39 +508,31 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 // round-robin over the survivors — and returns what went where.
 func (s *LiveSession) sendRound(mid uint64, pm *pendingMsg, idxs []int32) []roundJob {
 	s.mu.Lock()
-	var slots []int
-	for i, a := range s.alive {
-		if a && s.paths[i] != nil {
-			slots = append(slots, i)
-		}
-	}
+	slots := s.liveSlotsLocked()
 	paths := append([]*Path(nil), s.paths...)
+	alive := append([]bool(nil), s.alive...)
 	s.mu.Unlock()
 	if len(slots) == 0 {
 		return nil
-	}
-	aliveSet := make(map[int]bool, len(slots))
-	for _, sl := range slots {
-		aliveSet[sl] = true
 	}
 	var jobs []roundJob
 	rr := 0
 	for _, idx := range idxs {
 		slot := int(idx)
-		if slot >= len(paths) || !aliveSet[slot] {
+		if slot >= len(paths) || !alive[slot] || paths[slot] == nil {
 			slot = slots[rr%len(slots)]
 			rr++
 		}
 		p := paths[slot]
 		seg := pm.segs[idx]
-		msg := liveSegment{
-			mid:    mid,
-			index:  int32(seg.Index),
-			total:  int32(s.code.N()),
-			needed: int32(s.code.M()),
-			data:   seg.Data,
-		}
-		p.Send(msg.encode())
+		p.Send(core.Msg{
+			Kind:   core.MsgSegment,
+			MID:    mid,
+			Index:  int32(seg.Index),
+			Total:  int32(s.code.N()),
+			Needed: int32(s.code.M()),
+			Data:   seg.Data,
+		}.Encode())
 		jobs = append(jobs, roundJob{slot: slot, p: p, idx: idx})
 		s.node.reg.Counter("session.segments_sent").Inc()
 		s.node.emit(obs.Event{
@@ -753,10 +637,8 @@ func (s *LiveSession) probeLoop() {
 		}
 		s.mu.Lock()
 		var targets []roundJob
-		for i, p := range s.paths {
-			if p != nil && s.alive[i] {
-				targets = append(targets, roundJob{slot: i, p: p})
-			}
+		for _, i := range s.liveSlotsLocked() {
+			targets = append(targets, roundJob{slot: i, p: s.paths[i]})
 		}
 		s.mu.Unlock()
 		for _, t := range targets {
@@ -766,7 +648,7 @@ func (s *LiveSession) probeLoop() {
 			s.probes[nonce] = t
 			s.mu.Unlock()
 			s.node.reg.Counter("live.repair.probes").Inc()
-			t.p.Send(encodeProbe(liveKindProbe, nonce))
+			t.p.Send(core.Msg{Kind: core.MsgProbe, MID: nonce, Index: int32(t.slot)}.Encode())
 			time.AfterFunc(s.opts.AckTimeout, func() {
 				s.mu.Lock()
 				ref, outstanding := s.probes[nonce]
@@ -904,6 +786,7 @@ func (s *LiveSession) repairSlot(slot int) {
 	if old != nil {
 		old.Teardown()
 	}
+	s.wg.Add(1)
 	go s.ackLoop(built)
 	s.node.reg.Counter("live.repair.repaired").Inc()
 	s.node.emit(obs.Event{
@@ -928,19 +811,11 @@ func (s *LiveSession) coverLoop() {
 		case <-ticker.C:
 		}
 		s.mu.Lock()
-		shed := s.degraded || len(s.pending) >= s.opts.MaxInflight/2
-		var candidates []*Path
-		if !shed {
-			for i, p := range s.paths {
-				if p != nil && s.alive[i] {
-					candidates = append(candidates, p)
-				}
-			}
-			shed = len(candidates) == 0
-		}
+		live := s.liveSlotsLocked()
+		shed := s.degraded || len(s.pending) >= s.opts.MaxInflight/2 || len(live) == 0
 		var p *Path
 		if !shed {
-			p = candidates[s.rng.Intn(len(candidates))]
+			p = s.paths[live[s.rng.Intn(len(live))]]
 		}
 		s.mu.Unlock()
 		if shed {
@@ -949,7 +824,7 @@ func (s *LiveSession) coverLoop() {
 		}
 		pad := make([]byte, s.opts.CoverSize)
 		rand.Read(pad)
-		p.Send(encodeCover(pad))
+		p.Send(core.Msg{Kind: core.MsgCover, Data: pad}.Encode())
 		s.node.reg.Counter("live.cover_sent").Inc()
 	}
 }

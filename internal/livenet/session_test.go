@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientmix/internal/core"
 	"resilientmix/internal/netsim"
 )
 
@@ -137,13 +138,13 @@ func TestLiveCollectorRejectsGarbage(t *testing.T) {
 	// Handle must not panic or deliver on nonsense. The nil-node handle
 	// would only be dereferenced by Reply on a well-formed segment, so
 	// every one of these inputs must bail before acking.
-	for _, b := range [][]byte{nil, {0}, {9, 1, 2}, {liveKindAck, 0, 0}} {
+	for _, b := range [][]byte{nil, {0}, {99, 1, 2}, {core.MsgAck, 0, 0}, {core.MsgCover, 1}} {
 		c.Handle(ReplyHandle{}, b)
 	}
 	// A structurally valid segment with an absurd shape must also bail
 	// before the ack (ReplyHandle{} would panic on use).
-	bad := liveSegment{mid: 1, index: 5, total: 2, needed: 1, data: []byte("x")}
-	c.Handle(ReplyHandle{}, bad.encode())
+	bad := core.Msg{Kind: core.MsgSegment, MID: 1, Index: 5, Total: 2, Needed: 1, Data: []byte("x")}
+	c.Handle(ReplyHandle{}, bad.Encode())
 }
 
 func TestLiveConstructWithData(t *testing.T) {

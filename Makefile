@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeAppMsg -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSessionMachine -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzResponderBlob -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayMachine -fuzztime 20s

@@ -19,9 +19,18 @@ func allocSession(t *testing.T, k, s int, weighted bool, deadSlots []int) *Sessi
 		t.Fatal("establishment failed")
 	}
 	for _, d := range deadSlots {
-		sess.slots[d].alive = false
+		setAlive(sess, d, false)
 	}
 	return sess
+}
+
+// setAlive forces a slot's liveness in the session's machine.
+func setAlive(sess *Session, slot int, alive bool) {
+	if alive {
+		sess.m.Revive(slot, sess.paths[slot].Relays)
+	} else {
+		sess.m.Condemn(slot)
+	}
 }
 
 // TestAllocationPartition checks the core invariant of both allocators:
@@ -110,17 +119,17 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		t.Fatal("establishment failed")
 	}
 	f := func(deadMask uint8, weighted bool) bool {
-		for i, sl := range sess.slots {
-			sl.alive = deadMask&(1<<i) == 0
+		for i := range sess.paths {
+			setAlive(sess, i, deadMask&(1<<i) == 0)
 		}
 		// Keep at least one slot alive (allocation over zero live slots
 		// is legitimately empty for the weighted allocator).
-		sess.slots[0].alive = true
+		setAlive(sess, 0, true)
 		sess.params.Weighted = weighted
 		assign := sess.allocate(16)
 		seen := make(map[int]bool)
 		for slot, idxs := range assign {
-			if weighted && !sess.slots[slot].alive && len(idxs) > 0 {
+			if weighted && !sess.m.Alive(slot) && len(idxs) > 0 {
 				return false // weighted must not target dead slots
 			}
 			for _, idx := range idxs {
@@ -136,7 +145,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		t.Error(err)
 	}
 	// Restore state for any later use of the world in this test file.
-	for _, sl := range sess.slots {
-		sl.alive = true
+	for i := range sess.paths {
+		setAlive(sess, i, true)
 	}
 }

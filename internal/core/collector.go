@@ -18,6 +18,7 @@ type Collector struct {
 
 type collecting struct {
 	needed, total int32
+	size          int               // shard length, fixed by the first segment
 	seen          []bool            // by segment index; nil once done
 	segs          []erasure.Segment // distinct segments in arrival order; nil once done
 	decoding      bool              // a Ready is out and not yet Finished
@@ -30,8 +31,9 @@ type collecting struct {
 type Verdict uint8
 
 const (
-	// Rejected: a bad code shape or index, or a shape other than the
-	// one the message's first segment fixed. Drop it; do not ack.
+	// Rejected: a bad code shape or index, or a shape or segment length
+	// other than the one the message's first segment fixed. Drop it; do
+	// not ack.
 	Rejected Verdict = iota
 	// Fresh: a distinct segment, now held.
 	Fresh
@@ -55,7 +57,8 @@ func NewCollector(ttl sim.Time) *Collector {
 }
 
 // Add files one segment received at now. The first segment of a
-// message fixes its (needed, total). When this segment completes m
+// message fixes its (needed, total) and its shard length, so one
+// malformed segment cannot spoil every decode. When this segment completes m
 // distinct segments and no decode of the message is under way, Add
 // returns a Ready; the caller decodes it and reports the outcome with
 // Finish.
@@ -65,11 +68,11 @@ func (c *Collector) Add(id uint64, needed, total, index int32, data []byte, now 
 	}
 	e := c.entries[id]
 	if e == nil {
-		e = &collecting{needed: needed, total: total, seen: make([]bool, total), firstAt: now}
+		e = &collecting{needed: needed, total: total, size: len(data), seen: make([]bool, total), firstAt: now}
 		c.entries[id] = e
 	}
 	e.expires = now + c.ttl
-	if e.needed != needed || e.total != total {
+	if e.needed != needed || e.total != total || e.size != len(data) {
 		return Rejected, nil
 	}
 	if e.done || e.seen[index] {

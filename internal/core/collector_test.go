@@ -67,6 +67,32 @@ func TestCollectorFirstSegmentFixesShape(t *testing.T) {
 	}
 }
 
+// TestCollectorFirstSegmentFixesLength: a same-shape segment of
+// another length is rejected, not stored where it would spoil every
+// decode of the message.
+func TestCollectorFirstSegmentFixesLength(t *testing.T) {
+	msg := []byte("shape")
+	segs := splitFor(t, 2, 4, msg)
+	segs[1].Data = []byte{7}
+	c := NewCollector(sim.Minute)
+	var got []byte
+	for _, s := range segs {
+		v, r, data, err := c.Collect(1, 2, 4, int32(s.Index), s.Data, 0)
+		if err != nil {
+			t.Fatalf("segment %d: %v", s.Index, err)
+		}
+		if r != nil {
+			got = data
+		}
+		if bad := s.Index == 1; bad != (v == Rejected) {
+			t.Fatalf("segment %d of length %d: verdict %d", s.Index, len(s.Data), v)
+		}
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("delivered %q, want %q", got, msg)
+	}
+}
+
 func TestCollectorRejectsBadShapeAndIndex(t *testing.T) {
 	c := NewCollector(sim.Minute)
 	for _, in := range [][3]int32{
@@ -100,9 +126,11 @@ func TestCollectorCountsDuplicatesOnce(t *testing.T) {
 func TestCollectorRetriesAfterFailedDecode(t *testing.T) {
 	segs := splitFor(t, 2, 4, []byte("retry"))
 	c := NewCollector(sim.Minute)
-	c.Add(1, 2, 4, 0, segs[0].Data, 0)
-	// A segment of the wrong size makes the first decode fail.
-	_, r := c.Add(1, 2, 4, 1, []byte("?"), 0)
+	// A forged segment 0 whose length prefix exceeds the message makes
+	// the first decode fail.
+	forged := bytes.Repeat([]byte{0xff}, len(segs[0].Data))
+	c.Add(1, 2, 4, 0, forged, 0)
+	_, r := c.Add(1, 2, 4, 1, segs[1].Data, 0)
 	if r == nil {
 		t.Fatal("no ready at m distinct")
 	}
@@ -111,7 +139,7 @@ func TestCollectorRetriesAfterFailedDecode(t *testing.T) {
 		t.Fatal("second Ready while the first is decoding")
 	}
 	if _, err := r.Decode(); err == nil {
-		t.Fatal("mismatched segment sizes decoded")
+		t.Fatal("forged segment decoded")
 	}
 	c.Finish(1, false)
 	if _, _, ok := c.Done(1); ok {

@@ -170,11 +170,8 @@ func (s *Session) RegisterService(tag uint64) error {
 	initiator := s.w.Nodes[s.self].Initiator
 	msg := registerMsg{Tag: tag}.encode()
 	sent := 0
-	for _, sl := range s.slots {
-		if sl == nil || !sl.alive {
-			continue
-		}
-		if err := initiator.SendData(sl.path, msg, &s.stats.DataFlow); err == nil {
+	for _, slot := range s.m.LiveSlots() {
+		if err := initiator.SendData(s.paths[slot], msg, &s.stats.DataFlow); err == nil {
 			sent++
 		}
 	}
@@ -214,9 +211,8 @@ func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) 
 	initiator := s.w.Nodes[s.self].Initiator
 	m, n := s.params.codeShape()
 	sent := 0
-	for slotIdx, segIdxs := range assign {
-		sl := s.slots[slotIdx]
-		if sl == nil || !sl.alive {
+	for slot, segIdxs := range assign {
+		if !s.m.Alive(slot) {
 			continue
 		}
 		for _, si := range segIdxs {
@@ -225,7 +221,7 @@ func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) 
 				Index: int32(segs[si].Index), Total: int32(n), Needed: int32(m),
 				Data: segs[si].Data,
 			}
-			if err := initiator.SendData(sl.path, msg.encode(), &s.stats.DataFlow); err == nil {
+			if err := initiator.SendData(s.paths[slot], msg.encode(), &s.stats.DataFlow); err == nil {
 				sent++
 				s.stats.SegmentsSent++
 			}

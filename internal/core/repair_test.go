@@ -72,8 +72,8 @@ func TestRepairReplacesFailedPath(t *testing.T) {
 	}
 	s.EnableRepair(10 * sim.Second)
 	// Kill one relay on each path: without repair the set would die.
-	for _, sl := range s.slots {
-		w.Net.SetUp(sl.path.Relays[0], false)
+	for _, p := range s.paths {
+		w.Net.SetUp(p.Relays[0], false)
 	}
 	w.Run(w.Eng.Now() + 2*sim.Minute)
 	st := s.Stats()
@@ -156,9 +156,8 @@ func TestOnDemandPathCarriesSegment(t *testing.T) {
 	s.repair = true // on-demand mode without the probe ticker
 	// Kill one slot outright (mark dead; its relay also really dies so
 	// the old path cannot carry anything).
-	victim := s.slots[0]
-	w.Net.SetUp(victim.path.Relays[0], false)
-	victim.alive = false
+	w.Net.SetUp(s.paths[0].Relays[0], false)
+	s.m.Condemn(0)
 
 	delivered := 0
 	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
@@ -175,7 +174,7 @@ func TestOnDemandPathCarriesSegment(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("message did not reconstruct with an on-demand path")
 	}
-	if !victim.alive {
+	if !s.m.Alive(0) {
 		t.Fatal("on-demand construction did not revive the slot")
 	}
 	if s.Stats().PathsReplaced != 1 {

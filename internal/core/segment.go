@@ -37,8 +37,8 @@ const (
 //     request by MID; fields as for a segment.
 //   - kindSegAck (MsgAck): acknowledges segment Index of MID (§4.5's
 //     end-to-end acks), or echoes a probe.
-//   - kindProbe (MsgProbe): a per-path liveness probe; MID is its nonce
-//     and Index the probed path slot. The responder acknowledges it
+//   - kindProbe (MsgProbe): a per-path liveness probe; MID names the
+//     probe round and Index the probed path slot. The responder acknowledges it
 //     like a segment but never delivers anything to the application.
 //     Probes double as the §4.3 path-refreshing messages ("the payload
 //     messages can serve the purpose of refreshing messages").

@@ -22,16 +22,22 @@ type SessionStats struct {
 	PathsDied         int
 	PathsReplaced     int
 	ResponsesReceived int
+	// MessagesDelivered and MessagesLost are the initiator's verdicts:
+	// m distinct segment acks by the ack deadline, or fewer.
+	MessagesDelivered int
+	MessagesLost      int
 	ConstructFlow     metrics.Flow // bandwidth of all construction traffic
 	DataFlow          metrics.Flow // bandwidth of all payload traffic
 }
 
 // Session is an initiator's communication session with one responder
-// under one protocol configuration: it owns the k path slots, splits
-// messages into coded segments, allocates them to paths, tracks
-// end-to-end acknowledgments to detect path failures, and optionally
-// replaces paths proactively when liveness prediction flags a relay
-// (§4.5).
+// under one protocol configuration. It drives a SessionMachine on the
+// simulation engine: it establishes the k paths through mixchoice
+// relays, erasure-codes messages onto the slots the machine allocates,
+// arms each ack deadline and applies the machine's condemnations, and
+// replaces condemned paths (repair) or paths the liveness predictor
+// flags (§4.5). With repair on, a message for a down slot rides a fresh
+// construction (§4.2's combined mode).
 type Session struct {
 	w         *World
 	self      netsim.NodeID
@@ -40,7 +46,8 @@ type Session struct {
 	code      *erasure.Code
 	provider  membership.Provider
 
-	slots       []*pathSlot
+	m           *SessionMachine
+	paths       []*onion.Path // by slot; nil until established
 	established bool
 	failed      bool
 	establishAt sim.Time
@@ -48,9 +55,13 @@ type Session struct {
 	setDeadAt   sim.Time
 	repair      bool
 
-	pending map[uint64]*outMsg
-	resps   *Collector // response segments by request MID
-	convs   *Collector // rendezvous-forwarded (kindInbound) segments by conversation
+	// sent remembers, for at least inboundTTL, the data MIDs this
+	// session sent: responses are accepted and late acks counted only
+	// for them. It is swept lazily on input.
+	sent      map[uint64]sim.Time
+	nextSweep sim.Time
+	resps     *Collector // response segments by request MID
+	convs     *Collector // rendezvous-forwarded (kindInbound) segments by conversation
 
 	stats SessionStats
 
@@ -70,19 +81,6 @@ type Session struct {
 	OnInbound func(conv uint64, data []byte, at sim.Time)
 }
 
-type pathSlot struct {
-	index     int
-	path      *onion.Path
-	alive     bool
-	lastAck   sim.Time
-	repairing bool // a replacement construction is in flight
-}
-
-type outMsg struct {
-	sentAt sim.Time
-	bySlot map[int][]int32 // slot -> segment indices awaiting ack
-}
-
 // NewSession creates a session; Establish starts it.
 func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Session, error) {
 	if err := params.Validate(); err != nil {
@@ -96,6 +94,7 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 	if self == responder {
 		return nil, fmt.Errorf("core: initiator and responder are the same node %d", self)
 	}
+	m, n := params.codeShape()
 	s := &Session{
 		w:         w,
 		self:      self,
@@ -103,7 +102,12 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		params:    params,
 		code:      code,
 		provider:  w.Provider(self),
-		pending:   make(map[uint64]*outMsg),
+		m: NewSessionMachine(SessionConfig{
+			Self: self, Responder: responder, K: params.K,
+			Needed: m, Total: n, AckTimeout: params.AckTimeout,
+		}),
+		sent:      make(map[uint64]sim.Time),
+		nextSweep: inboundTTL,
 		resps:     NewCollector(inboundTTL),
 		convs:     NewCollector(inboundTTL),
 	}
@@ -118,13 +122,19 @@ func (s *Session) Params() Params { return s.params }
 // initiator cannot reliably release remote state, which is exactly why
 // the TTL exists).
 func (s *Session) Teardown() {
-	for _, sl := range s.slots {
-		if sl != nil && sl.path != nil {
-			s.w.unbindPath(sl.path)
-			s.w.Nodes[s.self].Initiator.Forget(sl.path)
-		}
+	for i, p := range s.paths {
+		s.release(p)
+		s.m.Condemn(i)
 	}
-	s.slots = nil
+	s.paths = nil
+}
+
+// release drops a path's reverse routing and the initiator's record.
+func (s *Session) release(p *onion.Path) {
+	if p != nil {
+		s.w.unbindPath(p)
+		s.w.Nodes[s.self].Initiator.Forget(p)
+	}
 }
 
 // Stats returns a snapshot of the session counters.
@@ -140,15 +150,10 @@ func (s *Session) EstablishedAt() sim.Time { return s.establishAt }
 func (s *Session) SetDeadAt() sim.Time { return s.setDeadAt }
 
 // AlivePaths returns the number of live path slots.
-func (s *Session) AlivePaths() int {
-	n := 0
-	for _, sl := range s.slots {
-		if sl.alive {
-			n++
-		}
-	}
-	return n
-}
+func (s *Session) AlivePaths() int { return len(s.m.LiveSlots()) }
+
+// PathRelays returns the relays of slot's current (or last) path.
+func (s *Session) PathRelays(slot int) []netsim.NodeID { return s.m.Relays(slot) }
 
 // Establish runs construction attempts until MinPaths paths stand or
 // MaxEstablishAttempts is exhausted, then fires OnEstablished.
@@ -163,39 +168,29 @@ func (s *Session) attempt() {
 	s.stats.EstablishAttempts++
 	s.w.m.establishAttempts.Inc()
 	cands := s.provider.Candidates(s.self)
-	paths, err := mixchoice.SelectPaths(
+	relayLists, err := mixchoice.SelectPaths(
 		s.w.Eng.RNG(), s.params.Strategy, cands,
 		s.params.K, s.params.L, s.self, s.responder,
 	)
 	if err != nil {
-		s.concludeAttempt(nil, 0)
+		s.concludeAttempt(nil)
 		return
 	}
+	// Slots go live in the machine as their constructions are acked.
 	initiator := s.w.Nodes[s.self].Initiator
-	slots := make([]*pathSlot, s.params.K)
+	paths := make([]*onion.Path, s.params.K)
 	done := 0
-	succeeded := 0
-	for i, relays := range paths {
-		slot := &pathSlot{index: i}
-		slots[i] = slot
+	for i, relays := range relayLists {
+		i := i
 		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, func(p *onion.Path, ok bool) {
 			done++
 			if ok {
-				slot.alive = true
-				slot.lastAck = s.w.Eng.Now()
-				succeeded++
+				s.m.Revive(i, p.Relays)
 				s.w.m.pathsBuilt.Inc()
-				if s.w.tracer != nil {
-					s.w.tracer.Emit(obs.Event{
-						Type: obs.PathBuilt, At: int64(s.w.Eng.Now()),
-						Node: int(s.self), Peer: int(s.responder),
-						ID: uint64(p.SID), Seq: int64(slot.index),
-						Slot: slot.index, Hop: -1,
-					})
-				}
+				s.emit(obs.Event{Type: obs.PathBuilt, Peer: int(s.responder), ID: uint64(p.SID), Seq: int64(i), Slot: i})
 			}
 			if done == s.params.K {
-				s.concludeAttempt(slots, succeeded)
+				s.concludeAttempt(paths)
 			}
 		})
 		if err != nil {
@@ -204,28 +199,27 @@ func (s *Session) attempt() {
 			done++
 			continue
 		}
-		slot.path = p
+		paths[i] = p
 		s.w.bindPath(p, s)
 	}
-	if done == s.params.K && succeeded == 0 {
+	if done == s.params.K {
 		// All constructions failed synchronously.
-		s.concludeAttempt(slots, 0)
+		s.concludeAttempt(paths)
 	}
 }
 
-func (s *Session) concludeAttempt(slots []*pathSlot, succeeded int) {
+func (s *Session) concludeAttempt(paths []*onion.Path) {
 	if s.established || s.failed {
 		return
 	}
-	if succeeded >= s.params.MinPaths() {
-		s.slots = slots
+	if len(s.m.LiveSlots()) >= s.params.MinPaths() {
+		s.paths = paths
 		s.established = true
 		s.establishAt = s.w.Eng.Now()
-		// Slots that failed construction already count as failed paths.
-		for _, sl := range slots {
-			if !sl.alive && sl.path != nil {
-				s.w.unbindPath(sl.path)
-				s.w.Nodes[s.self].Initiator.Forget(sl.path)
+		for i, p := range paths {
+			if !s.m.Alive(i) {
+				// Slots that failed construction already count as failed paths.
+				s.release(p)
 			}
 		}
 		if s.OnEstablished != nil {
@@ -234,11 +228,9 @@ func (s *Session) concludeAttempt(slots []*pathSlot, succeeded int) {
 		return
 	}
 	// Failed attempt: release everything and maybe retry.
-	for _, sl := range slots {
-		if sl != nil && sl.path != nil {
-			s.w.unbindPath(sl.path)
-			s.w.Nodes[s.self].Initiator.Forget(sl.path)
-		}
+	for i, p := range paths {
+		s.release(p)
+		s.m.Condemn(i)
 	}
 	if s.stats.EstablishAttempts < s.params.MaxEstablishAttempts {
 		s.w.Eng.Schedule(0, s.attempt)
@@ -272,62 +264,51 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
+	now := s.w.Eng.Now()
+	s.sweepSent(now)
 	mid := s.w.Eng.RNG().Uint64()
-	assign := s.allocate(len(segs))
-	out := &outMsg{sentAt: s.w.Eng.Now(), bySlot: make(map[int][]int32)}
 	initiator := s.w.Nodes[s.self].Initiator
 	m, n := s.params.codeShape()
-	for slotIdx, segIdxs := range assign {
-		slot := s.slots[slotIdx]
-		if len(segIdxs) == 0 {
-			continue
-		}
-		if !slot.alive {
-			// §4.2 + §4.5: with repair enabled, form a replacement path
-			// on demand and ride the first segment on the construction
-			// onion itself — no message delay waiting for a separate
-			// construction round trip. Without repair, segments on dead
-			// paths are lost (the Bernoulli model of §4.7).
-			if s.repair && dest == s.responder && len(segIdxs) == 1 {
-				si := segIdxs[0]
-				msg := Msg{
-					Kind:   kindSegment,
-					MID:    mid,
-					Index:  int32(segs[si].Index),
-					Total:  int32(n),
-					Needed: int32(m),
-					Data:   segs[si].Data,
-				}
-				tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-				if s.rebuildSlot(slot, msg.Encode(), tag) {
-					out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
-					s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slotIdx)
-				}
-			}
-			continue
-		}
+	var jobs []Job
+	for slot, segIdxs := range s.allocate(len(segs)) {
 		for _, si := range segIdxs {
-			msg := Msg{
-				Kind:   kindSegment,
-				MID:    mid,
-				Index:  int32(segs[si].Index),
-				Total:  int32(n),
-				Needed: int32(m),
-				Data:   segs[si].Data,
-			}
-			tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-			if err := initiator.SendDataTagged(slot.path, dest, msg.Encode(), &s.stats.DataFlow, tag); err != nil {
+			msg := Msg{Kind: kindSegment, MID: mid, Index: int32(segs[si].Index), Total: int32(n), Needed: int32(m), Data: segs[si].Data}
+			tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slot)}
+			if !s.m.Alive(slot) {
+				// §4.2 + §4.5: with repair enabled, form a replacement path
+				// on demand and ride the first segment on the construction
+				// onion itself — no message delay waiting for a separate
+				// construction round trip. Without repair, segments on dead
+				// paths are lost (the Bernoulli model of §4.7).
+				if !s.repair || dest != s.responder || len(segIdxs) != 1 || !s.rebuildSlot(slot, msg.Encode(), tag) {
+					break
+				}
+			} else if err := initiator.SendDataTagged(s.paths[slot], dest, msg.Encode(), &s.stats.DataFlow, tag); err != nil {
 				continue
 			}
-			out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
-			s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slotIdx)
+			jobs = append(jobs, Job{Slot: slot, Index: msg.Index})
+			s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slot)
 		}
 	}
-	s.pending[mid] = out
+	s.m.Track(mid, false, jobs, now)
+	s.sent[mid] = now
 	s.stats.MessagesSent++
 	s.w.m.messagesSent.Inc()
-	s.w.Eng.Schedule(s.params.AckTimeout, func() { s.checkAcks(mid) })
+	s.w.Eng.Schedule(s.params.AckTimeout, func() { s.expire(mid) })
 	return mid, nil
+}
+
+// sweepSent forgets sent MIDs older than inboundTTL, once per TTL.
+func (s *Session) sweepSent(now sim.Time) {
+	if now < s.nextSweep {
+		return
+	}
+	for mid, at := range s.sent {
+		if at+inboundTTL <= now {
+			delete(s.sent, mid)
+		}
+	}
+	s.nextSweep = now + inboundTTL
 }
 
 // noteSegmentSent records one coded data segment leaving the
@@ -335,12 +316,15 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 func (s *Session) noteSegmentSent(dest netsim.NodeID, mid uint64, index int32, size, slot int) {
 	s.stats.SegmentsSent++
 	s.w.m.segmentsSent.Inc()
+	s.emit(obs.Event{Type: obs.SegmentSent, Peer: int(dest), ID: mid, Seq: int64(index), Slot: slot, Size: size})
+}
+
+// emit stamps a session trace event with the time, this node and no
+// hop, and traces it.
+func (s *Session) emit(e obs.Event) {
 	if s.w.tracer != nil {
-		s.w.tracer.Emit(obs.Event{
-			Type: obs.SegmentSent, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(dest), ID: mid,
-			Seq: int64(index), Slot: slot, Hop: -1, Size: size,
-		})
+		e.At, e.Node, e.Hop = int64(s.w.Eng.Now()), int(s.self), -1
+		s.w.tracer.Emit(e)
 	}
 }
 
@@ -348,90 +332,19 @@ func (s *Session) noteSegmentSent(dest netsim.NodeID, mid uint64, index int32, s
 // or the weighted extension of §7 when enabled.
 func (s *Session) allocate(nSegs int) [][]int {
 	if s.params.Weighted {
-		return s.allocateWeighted(nSegs)
+		return s.m.Allocate(nSegs, s.pathStability)
 	}
-	assign := make([][]int, len(s.slots))
-	per := nSegs / len(s.slots)
-	idx := 0
-	for i := range s.slots {
-		for j := 0; j < per && idx < nSegs; j++ {
-			assign[i] = append(assign[i], idx)
-			idx++
-		}
-	}
-	// Distribute any remainder round-robin (only possible when nSegs is
-	// not a multiple of k, which the paper excludes but we permit).
-	for i := 0; idx < nSegs; i, idx = i+1, idx+1 {
-		assign[i%len(s.slots)] = append(assign[i%len(s.slots)], idx)
-	}
-	return assign
+	return s.m.Allocate(nSegs, nil)
 }
 
-// allocateWeighted gives stable paths more segments: each live slot is
-// scored by the minimum liveness predictor q over its relays, and
-// segments are dealt to slots proportionally to score.
-func (s *Session) allocateWeighted(nSegs int) [][]int {
-	type scored struct {
-		slot  int
-		score float64
-	}
-	var live []scored
-	var total float64
-	for i, sl := range s.slots {
-		if !sl.alive {
-			continue
-		}
-		score := s.pathStability(sl)
-		// Floor so every live path gets some share.
-		if score < 0.01 {
-			score = 0.01
-		}
-		live = append(live, scored{i, score})
-		total += score
-	}
-	assign := make([][]int, len(s.slots))
-	if len(live) == 0 {
-		return assign
-	}
-	// Largest-remainder apportionment of nSegs by score.
-	counts := make([]int, len(live))
-	rem := make([]float64, len(live))
-	used := 0
-	for i, sc := range live {
-		exact := float64(nSegs) * sc.score / total
-		counts[i] = int(exact)
-		rem[i] = exact - float64(counts[i])
-		used += counts[i]
-	}
-	for used < nSegs {
-		best := 0
-		for i := range rem {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		counts[best]++
-		rem[best] = -1
-		used++
-	}
-	idx := 0
-	for i, sc := range live {
-		for j := 0; j < counts[i]; j++ {
-			assign[sc.slot] = append(assign[sc.slot], idx)
-			idx++
-		}
-	}
-	return assign
-}
-
-// pathStability returns the minimum predictor q across a path's relays.
-func (s *Session) pathStability(sl *pathSlot) float64 {
+// pathStability returns the minimum predictor q across a slot's relays.
+func (s *Session) pathStability(slot int) float64 {
 	qp, ok := s.provider.(membership.QProvider)
-	if !ok || sl.path == nil {
+	if !ok || s.paths[slot] == nil {
 		return 1
 	}
 	min := 1.0
-	for _, relay := range sl.path.Relays {
+	for _, relay := range s.paths[slot].Relays {
 		if q := qp.Q(relay); q < min {
 			min = q
 		}
@@ -439,56 +352,47 @@ func (s *Session) pathStability(sl *pathSlot) float64 {
 	return min
 }
 
-// checkAcks runs at AckTimeout after a message: any live slot with
-// unacknowledged segments is declared failed (§4.5 timeout detection).
-func (s *Session) checkAcks(mid uint64) {
-	out, ok := s.pending[mid]
-	if !ok {
-		return
+// expire applies the machine's verdict at a round's ack deadline: the
+// slots it condemns, in slot order, and a lost message.
+func (s *Session) expire(mid uint64) {
+	v := s.m.Expire(mid)
+	for _, slot := range v.Condemn {
+		s.condemn(slot)
 	}
-	// Iterate slots in index order, not map order: markSlotDead draws
-	// from the engine RNG in repair mode, so the visit order must be
-	// deterministic for same-seed runs to stay byte-identical.
-	for slotIdx := range s.slots {
-		if len(out.bySlot[slotIdx]) == 0 {
-			continue
-		}
-		s.markSlotDead(s.slots[slotIdx])
+	if v.Lost {
+		s.stats.MessagesLost++
 	}
 }
 
-func (s *Session) markSlotDead(sl *pathSlot) {
-	if !sl.alive {
+func (s *Session) condemn(slot int) {
+	if !s.m.Condemn(slot) {
 		return
 	}
-	sl.alive = false
 	s.stats.PathsDied++
 	s.w.m.pathsDied.Inc()
-	if s.w.tracer != nil {
-		var sid uint64
-		if sl.path != nil {
-			sid = uint64(sl.path.SID)
-		}
-		s.w.tracer.Emit(obs.Event{
-			Type: obs.PathBroken, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(s.responder),
-			ID: sid, Seq: int64(sl.index), Slot: sl.index, Hop: -1,
-			Reason: obs.ReasonAckTimeout,
-		})
-	}
+	s.notePathBroken(slot, obs.ReasonAckTimeout)
 	if s.repair {
 		// Self-healing mode (§4.5 reconstruction): replace the failed
 		// path instead of counting toward set death.
-		s.replaceSlot(sl)
+		s.rebuildSlot(slot, nil, obs.Tag{})
 		return
 	}
-	if s.AlivePaths() < s.params.MinPaths() && !s.setDead {
+	if len(s.m.LiveSlots()) < s.params.MinPaths() && !s.setDead {
 		s.setDead = true
 		s.setDeadAt = s.w.Eng.Now()
 		if s.OnSetDead != nil {
 			s.OnSetDead(s.setDeadAt)
 		}
 	}
+}
+
+// notePathBroken traces a slot's path failing or being condemned.
+func (s *Session) notePathBroken(slot int, reason obs.Reason) {
+	var sid uint64
+	if p := s.paths[slot]; p != nil {
+		sid = uint64(p.SID)
+	}
+	s.emit(obs.Event{Type: obs.PathBroken, Peer: int(s.responder), ID: sid, Seq: int64(slot), Slot: slot, Reason: reason})
 }
 
 // EnableRepair turns on §4.5 failure handling for long-lived sessions:
@@ -507,53 +411,46 @@ func (s *Session) EnableRepair(probeInterval sim.Time) {
 			return
 		}
 		// Retry slots whose earlier replacement failed.
-		for _, sl := range s.slots {
-			if sl != nil && !sl.alive {
-				s.replaceSlot(sl)
+		for slot := range s.paths {
+			if !s.m.Alive(slot) {
+				s.rebuildSlot(slot, nil, obs.Tag{})
 			}
 		}
 		s.sendProbes()
 	})
 }
 
-// sendProbes sends one tiny probe down every live path and arms the ack
-// timeout; unacked probes mark (and, in repair mode, replace) the path.
+// sendProbes sends one probe round — one MID, the slot as index — down
+// every live path and arms its ack deadline.
 func (s *Session) sendProbes() {
 	mid := s.w.Eng.RNG().Uint64()
-	out := &outMsg{sentAt: s.w.Eng.Now(), bySlot: make(map[int][]int32)}
 	initiator := s.w.Nodes[s.self].Initiator
-	sentAny := false
-	for i, sl := range s.slots {
-		if sl == nil || !sl.alive {
+	var jobs []Job
+	for _, slot := range s.m.LiveSlots() {
+		probe := Msg{Kind: kindProbe, MID: mid, Index: int32(slot)}
+		if err := initiator.SendData(s.paths[slot], probe.Encode(), &s.stats.DataFlow); err != nil {
 			continue
 		}
-		probe := Msg{Kind: kindProbe, MID: mid, Index: int32(i)}
-		if err := initiator.SendData(sl.path, probe.Encode(), &s.stats.DataFlow); err != nil {
-			continue
-		}
-		out.bySlot[i] = append(out.bySlot[i], int32(i))
-		sentAny = true
+		jobs = append(jobs, Job{Slot: slot, Index: probe.Index})
 	}
-	if !sentAny {
+	if len(jobs) == 0 {
 		return
 	}
-	s.pending[mid] = out
-	s.w.Eng.Schedule(s.params.AckTimeout, func() {
-		s.checkAcks(mid)
-		delete(s.pending, mid)
-	})
+	s.m.Track(mid, true, jobs, s.w.Eng.Now())
+	s.w.Eng.Schedule(s.params.AckTimeout, func() { s.expire(mid) })
 }
 
 // handleReverse processes decrypted reverse-path payloads routed to this
 // session by the world.
-func (s *Session) handleReverse(p *onion.Path, plain []byte) {
+func (s *Session) handleReverse(plain []byte) {
 	msg, err := decodeAppMsg(plain)
 	if err != nil {
 		return
 	}
+	s.sweepSent(s.w.Eng.Now())
 	switch msg.kind {
 	case kindSegAck:
-		s.handleAck(p, msg.msg)
+		s.handleAck(msg.msg)
 	case kindRespSeg:
 		s.handleRespSeg(msg.msg)
 	case kindInbound:
@@ -561,29 +458,22 @@ func (s *Session) handleReverse(p *onion.Path, plain []byte) {
 	}
 }
 
-func (s *Session) handleAck(p *onion.Path, ack Msg) {
-	out, ok := s.pending[ack.MID]
-	if !ok {
+// handleAck files an ack with the machine. Every ack for a probe round
+// or a recently sent message counts, repeats and late ones included.
+func (s *Session) handleAck(ack Msg) {
+	r := s.m.Ack(ack.MID, ack.Index)
+	if _, sent := s.sent[ack.MID]; r == AckUnknown && !sent {
 		return
 	}
 	s.stats.SegmentsAcked++
 	s.w.m.segmentsAcked.Inc()
-	for slotIdx := range s.slots {
-		waiting := out.bySlot[slotIdx]
-		for i, idx := range waiting {
-			if idx == ack.Index {
-				out.bySlot[slotIdx] = append(waiting[:i], waiting[i+1:]...)
-				if sl := s.slots[slotIdx]; sl != nil {
-					sl.lastAck = s.w.Eng.Now()
-				}
-				return
-			}
-		}
+	if r == AckDelivered {
+		s.stats.MessagesDelivered++
 	}
 }
 
 func (s *Session) handleRespSeg(rs Msg) {
-	if _, ok := s.pending[rs.MID]; !ok {
+	if _, ok := s.sent[rs.MID]; !ok {
 		return
 	}
 	now := s.w.Eng.Now()
@@ -610,60 +500,14 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 		if !s.established || s.setDead {
 			return
 		}
-		for _, sl := range s.slots {
-			if sl.alive && s.pathStability(sl) < threshold {
-				if s.w.tracer != nil {
-					var sid uint64
-					if sl.path != nil {
-						sid = uint64(sl.path.SID)
-					}
-					s.w.tracer.Emit(obs.Event{
-						Type: obs.PathBroken, At: int64(s.w.Eng.Now()),
-						Node: int(s.self), Peer: int(s.responder),
-						ID: sid, Seq: int64(sl.index), Slot: sl.index, Hop: -1,
-						Reason: obs.ReasonPredicted,
-					})
-				}
-				s.replaceSlot(sl)
+		for slot := range s.paths {
+			if s.m.Alive(slot) && s.pathStability(slot) < threshold {
+				s.notePathBroken(slot, obs.ReasonPredicted)
+				s.rebuildSlot(slot, nil, obs.Tag{})
 			}
 		}
 	})
 }
-
-// notePathRepaired records a successful path replacement (§4.5
-// reconstruction) in the registry and the trace.
-func (s *Session) notePathRepaired(p *onion.Path, sl *pathSlot) {
-	s.w.m.pathsReplaced.Inc()
-	if s.w.tracer != nil {
-		s.w.tracer.Emit(obs.Event{
-			Type: obs.PathRepaired, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(s.responder),
-			ID: uint64(p.SID), Seq: int64(sl.index),
-			Slot: sl.index, Hop: -1,
-		})
-	}
-}
-
-// freshRelays selects one new relay list avoiding the session's live
-// relays and endpoints.
-func (s *Session) freshRelays(sl *pathSlot) ([]netsim.NodeID, bool) {
-	cands := s.provider.Candidates(s.self)
-	exclude := []netsim.NodeID{s.self, s.responder}
-	for _, other := range s.slots {
-		if other != sl && other.alive && other.path != nil {
-			exclude = append(exclude, other.path.Relays...)
-		}
-	}
-	paths, err := mixchoice.SelectPaths(s.w.Eng.RNG(), s.params.Strategy, cands, 1, s.params.L, exclude...)
-	if err != nil {
-		return nil, false
-	}
-	return paths[0], true
-}
-
-// replaceSlot constructs a replacement path for a slot (reconstruction
-// per §4.5).
-func (s *Session) replaceSlot(sl *pathSlot) { s.rebuildSlot(sl, nil, obs.Tag{}) }
 
 // rebuildSlot constructs a replacement path for a slot through fresh
 // relays, carrying plain on the construction onion when it is set
@@ -671,43 +515,38 @@ func (s *Session) replaceSlot(sl *pathSlot) { s.rebuildSlot(sl, nil, obs.Tag{}) 
 // old path stays in use until the replacement stands; the slot revives
 // when the construction ack arrives. It reports whether the
 // construction entered the network.
-func (s *Session) rebuildSlot(sl *pathSlot, plain []byte, tag obs.Tag) bool {
-	if sl.repairing {
+func (s *Session) rebuildSlot(slot int, plain []byte, tag obs.Tag) bool {
+	if !s.m.Rebuild(slot) {
 		return false
 	}
-	relays, ok := s.freshRelays(sl)
-	if !ok {
+	cands := s.provider.Candidates(s.self)
+	relayLists, err := mixchoice.SelectPaths(s.w.Eng.RNG(), s.params.Strategy, cands, 1, s.params.L, s.m.Exclude(slot)...)
+	if err != nil {
+		s.m.RebuildFailed(slot)
 		return false
 	}
 	initiator := s.w.Nodes[s.self].Initiator
-	old := sl.path
 	done := func(p *onion.Path, ok bool) {
-		sl.repairing = false
-		if !ok {
-			s.w.unbindPath(p)
-			initiator.Forget(p)
+		if !ok || s.paths == nil { // failed, or the session was torn down
+			s.release(p)
+			s.m.RebuildFailed(slot)
 			return
 		}
-		if old != nil {
-			s.w.unbindPath(old)
-			initiator.Forget(old)
-		}
-		sl.path = p
-		sl.alive = true
-		sl.lastAck = s.w.Eng.Now()
+		s.release(s.paths[slot])
+		s.paths[slot] = p
+		s.m.Revive(slot, p.Relays)
 		s.stats.PathsReplaced++
-		s.notePathRepaired(p, sl)
+		s.w.m.pathsReplaced.Inc()
+		s.emit(obs.Event{Type: obs.PathRepaired, Peer: int(s.responder), ID: uint64(p.SID), Seq: int64(slot), Slot: slot})
 	}
-	sl.repairing = true
 	var p *onion.Path
-	var err error
 	if plain == nil {
-		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, done)
+		p, err = initiator.Construct(relayLists[0], s.responder, &s.stats.ConstructFlow, done)
 	} else {
-		p, err = initiator.ConstructWithDataTagged(relays, s.responder, plain, &s.stats.DataFlow, tag, done)
+		p, err = initiator.ConstructWithDataTagged(relayLists[0], s.responder, plain, &s.stats.DataFlow, tag, done)
 	}
 	if err != nil {
-		sl.repairing = false
+		s.m.RebuildFailed(slot)
 		return false
 	}
 	s.w.bindPath(p, s)

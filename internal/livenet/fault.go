@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"resilientmix/internal/netsim"
-	"resilientmix/internal/obs"
 )
 
 // This file is the live transport's fault controller — the anonnode
@@ -206,27 +205,5 @@ func (n *Node) FaultHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
-	})
-}
-
-// noteBlackholed records a frame refused by the local fault controller.
-func (n *Node) noteBlackholed(to netsim.NodeID, f frame) {
-	n.reg.Counter("live.fault.refused").Inc()
-	n.emit(obs.Event{
-		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonBlackholed,
-	})
-}
-
-// noteInjectedDrop records a frame consumed by the injected drop rate.
-func (n *Node) noteInjectedDrop(to netsim.NodeID, f frame) {
-	n.reg.Counter("live.fault.dropped").Inc()
-	n.emit(obs.Event{
-		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonInjectedDrop,
 	})
 }

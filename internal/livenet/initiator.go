@@ -93,47 +93,22 @@ func (n *Node) Construct(relays []netsim.NodeID, responder netsim.NodeID) (*Path
 // outbound dial and the ack wait observe ctx, so a blackholed or
 // silent first relay cannot stall the initiator past its deadline.
 func (n *Node) ConstructCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID) (*Path, error) {
-	p, onionBytes, err := n.preparePath(relays, responder)
-	if err != nil {
-		return nil, err
+	p, err := n.construct(ctx, relays, responder, nil)
+	if err == nil {
+		n.notePath(obs.PathBuilt, p, int64(len(p.Relays)), -1)
 	}
-	ack := make(chan struct{})
-	n.mu.Lock()
-	n.acks[p.SID] = ack
-	n.mu.Unlock()
-
-	if err := n.sendCtx(ctx, relays[0], frame{
-		kind: kindConstruct,
-		sid:  p.SID,
-		body: prependSender(n.cfg.ID, onionBytes),
-	}); err != nil {
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		n.mu.Unlock()
-		return nil, err
-	}
-
-	select {
-	case <-ack:
-	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		n.mu.Unlock()
-		return nil, fmt.Errorf("livenet: construction ack: %w", ctx.Err())
-	}
-	n.mu.Lock()
-	n.paths[p.SID] = p
-	n.mu.Unlock()
-	n.notePathBuilt(p)
-	return p, nil
+	return p, err
 }
 
-// notePathBuilt records a successfully acked path construction.
-func (n *Node) notePathBuilt(p *Path) {
+// notePath records a successfully acked path construction: a PathBuilt
+// event (seq = path length, no slot) for a new path, or a PathRepaired
+// event (seq = slot) for a session's replacement, as the simulator
+// traces it.
+func (n *Node) notePath(typ obs.Type, p *Path, seq int64, slot int) {
 	n.emit(obs.Event{
-		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
+		Type: typ, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(p.Responder),
-		ID: p.SID, Seq: int64(len(p.Relays)), Slot: -1, Hop: -1,
+		ID: p.SID, Seq: seq, Slot: slot, Hop: -1,
 	})
 	n.reg.Counter("live.paths_built").Inc()
 }
@@ -151,45 +126,53 @@ func (n *Node) ConstructWithData(relays []netsim.NodeID, responder netsim.NodeID
 // ConstructWithDataCtx is ConstructWithData under a caller-supplied
 // context.
 func (n *Node) ConstructWithDataCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte) (*Path, error) {
+	p, err := n.construct(ctx, relays, responder, data)
+	if err == nil {
+		n.notePath(obs.PathBuilt, p, int64(len(p.Relays)), -1)
+	}
+	return p, err
+}
+
+// construct builds a path and waits for its construction ack, with
+// data, when non-nil, riding the construction onion. It leaves tracing
+// to its caller.
+func (n *Node) construct(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte) (*Path, error) {
 	p, onionBytes, err := n.preparePath(relays, responder)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := onion.BuildPayloadOnion(n.cfg.Suite, rand.Reader, p.keys, responder, p.respKey, p.sealedRespKey, data)
-	if err != nil {
-		return nil, err
+	f := frame{kind: kindConstruct, sid: p.SID, body: prependSender(n.cfg.ID, onionBytes)}
+	if data != nil {
+		payload, err := onion.BuildPayloadOnion(n.cfg.Suite, rand.Reader, p.keys, responder, p.respKey, p.sealedRespKey, data)
+		if err != nil {
+			return nil, err
+		}
+		f = frame{kind: kindConstructData, sid: p.SID, body: constructDataBody(n.cfg.ID, onionBytes, payload)}
 	}
-
 	ack := make(chan struct{})
 	n.mu.Lock()
 	n.acks[p.SID] = ack
-	// Register the path before sending so reverse replies racing the ack
-	// are not lost.
+	// Register the path before sending, so reverse replies racing the
+	// ack are not lost.
 	n.paths[p.SID] = p
 	n.mu.Unlock()
-
-	if err := n.sendCtx(ctx, relays[0], frame{
-		kind: kindConstructData,
-		sid:  p.SID,
-		body: constructDataBody(n.cfg.ID, onionBytes, payload),
-	}); err != nil {
+	forget := func() {
 		n.mu.Lock()
 		delete(n.acks, p.SID)
 		delete(n.paths, p.SID)
 		n.mu.Unlock()
+	}
+	if err := n.sendCtx(ctx, relays[0], f); err != nil {
+		forget()
 		return nil, err
 	}
 	select {
 	case <-ack:
+		return p, nil
 	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		delete(n.paths, p.SID)
-		n.mu.Unlock()
+		forget()
 		return nil, fmt.Errorf("livenet: construction ack: %w", ctx.Err())
 	}
-	n.notePathBuilt(p)
-	return p, nil
 }
 
 // Send routes an application payload down the path to its responder

@@ -3,15 +3,17 @@
 // from the simulation (internal/netsim and friends) to a deployable
 // node. It reuses the exact onion construction and payload formats of
 // internal/onion, the ECIES suite and the erasure coder, and it runs the
-// simulator's relay and responder: onion.Machine, the one IO-free
-// implementation of §4.1–4.4, driven here from TCP frames. Session
-// payloads are core's application messages (segments, acks, probes,
-// cover), and the responder side is core's m-of-n collector
-// (core.Collector, the one the simulator's Receiver drives), driven
-// here by LiveCollector. What it replaces is the message plane: frames
-// over TCP connections instead of simulated links, goroutines and
-// mutexes instead of a single-threaded event loop, crypto/rand and the
-// wall clock instead of a seeded PRNG and virtual time.
+// simulator's protocol machines, each the one IO-free implementation of
+// its part: onion.Machine (relay and responder, §4.1–4.4) driven from
+// TCP frames, core.Collector (the responder's m-of-n collector) driven
+// by LiveCollector, and core.SessionMachine (the initiator's §4.5
+// failure detection, repair exclusion and retransmission, §4.7
+// allocation) driven by LiveSession. Session payloads are core's
+// application messages (segments, acks, probes, cover). What it
+// replaces is the message plane: frames over TCP connections instead of
+// simulated links, goroutines and mutexes instead of a single-threaded
+// event loop, crypto/rand and the wall clock instead of a seeded PRNG
+// and virtual time.
 //
 // Scope: static roster (the PKI directory with addresses), one
 // long-lived TCP connection per peer carrying every frame to it (redialed

@@ -66,23 +66,10 @@ type liveMetrics struct {
 	forwardStates, reverseStates     *obs.Gauge
 }
 
-// kindName names a frame kind for metrics and docs.
-func kindName(k byte) string {
-	switch k {
-	case kindConstruct:
-		return "construct"
-	case kindAck:
-		return "ack"
-	case kindData:
-		return "data"
-	case kindDeliver:
-		return "deliver"
-	case kindReverse:
-		return "reverse"
-	case kindConstructData:
-		return "construct_data"
-	}
-	return "unknown"
+// kindNames names the frame kinds for metrics and docs.
+var kindNames = [...]string{
+	kindConstruct: "construct", kindAck: "ack", kindData: "data",
+	kindDeliver: "deliver", kindReverse: "reverse", kindConstructData: "construct_data",
 }
 
 func newLiveMetrics(reg *obs.Registry) *liveMetrics {
@@ -95,7 +82,7 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		reverseStates: reg.Gauge("live.reverse_states"),
 	}
 	for k := kindConstruct; k <= kindConstructData; k++ {
-		m.framesIn[k] = reg.Counter("live.frames_in." + kindName(k))
+		m.framesIn[k] = reg.Counter("live.frames_in." + kindNames[k])
 	}
 	return m
 }
@@ -355,11 +342,11 @@ func (n *Node) sendBudget() time.Duration {
 // under the DialRetry policy only when no open link exists.
 func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 	if n.flt.blackholed(to) {
-		n.noteBlackholed(to, f)
+		n.noteDrop(n.reg.Counter("live.fault.refused"), to, f, obs.ReasonBlackholed)
 		return fmt.Errorf("livenet: peer %d blackholed", to)
 	}
 	if delay, dropped := n.flt.outboundFault(); dropped {
-		n.noteInjectedDrop(to, f)
+		n.noteDrop(n.reg.Counter("live.fault.dropped"), to, f, obs.ReasonInjectedDrop)
 		return nil // the frame "left" but will never arrive
 	} else if delay > 0 {
 		t := time.NewTimer(delay)
@@ -367,7 +354,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			n.noteSendError(to, f)
+			n.noteDrop(n.m.sendErrors, to, f, obs.ReasonSendFailed)
 			return ctx.Err()
 		}
 	}
@@ -376,27 +363,27 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		err = n.writeLink(ctx, l, to, f)
 	}
 	if err != nil {
-		n.noteSendError(to, f)
+		n.noteDrop(n.m.sendErrors, to, f, obs.ReasonSendFailed)
 		return err
 	}
 	n.m.framesOut.Inc()
 	l.peerOut.Inc()
-	n.emit(obs.Event{
-		Type: obs.MsgSent, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-	})
+	n.noteFrame(obs.MsgSent, to, f.sid, len(f.body), obs.ReasonNone)
 	return nil
 }
 
-func (n *Node) noteSendError(to netsim.NodeID, f frame) {
-	n.m.sendErrors.Inc()
+// noteFrame traces a frame sent to, delivered from or dropped with peer.
+func (n *Node) noteFrame(typ obs.Type, peer netsim.NodeID, sid uint64, size int, reason obs.Reason) {
 	n.emit(obs.Event{
-		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonSendFailed,
+		Type: typ, At: time.Now().UnixMicro(), Node: int(n.cfg.ID), Peer: int(peer),
+		ID: sid, Slot: -1, Hop: -1, Size: size, Reason: reason,
 	})
+}
+
+// noteDrop counts a dropped frame on c and traces it.
+func (n *Node) noteDrop(c *obs.Counter, peer netsim.NodeID, f frame, reason obs.Reason) {
+	c.Inc()
+	n.noteFrame(obs.MsgDropped, peer, f.sid, len(f.body), reason)
 }
 
 func newSID() uint64 {
@@ -456,7 +443,7 @@ func (n *Node) sender(f frame) (netsim.NodeID, []byte, bool) {
 		return netsim.Invalid, nil, false
 	}
 	if n.flt.blackholed(from) {
-		n.noteBlackholed(from, f)
+		n.noteDrop(n.reg.Counter("live.fault.refused"), from, f, obs.ReasonBlackholed)
 		return netsim.Invalid, nil, false
 	}
 	return from, rest, true
@@ -551,11 +538,7 @@ func (n *Node) handleDeliver(f frame) {
 	if drop != obs.ReasonNone {
 		return
 	}
-	n.emit(obs.Event{
-		Type: obs.MsgDelivered, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(relay), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(data),
-	})
+	n.noteFrame(obs.MsgDelivered, relay, f.sid, len(data), obs.ReasonNone)
 	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key}, data)
 }
 

@@ -504,7 +504,7 @@ func forceRepair(t *testing.T, s *LiveSession, slot int) {
 	repaired := s.node.reg.Counter("live.repair.repaired")
 	before := repaired.Value()
 	s.mu.Lock()
-	s.markDeadLocked(slot, s.paths[slot], obs.ReasonProbeTimeout)
+	s.condemnLocked([]int{slot}, obs.ReasonProbeTimeout)
 	s.mu.Unlock()
 	deadline := time.Now().Add(10 * time.Second)
 	for repaired.Value() == before {
@@ -549,5 +549,42 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 	sess.Teardown()
 	if n := settleGoroutines(base); n > base {
 		t.Fatalf("%d goroutines after Teardown, %d before the session", n, base)
+	}
+}
+
+// TestLiveRepairTracesOnePathRepaired: each repair is one
+// path_repaired event carrying the slot, as in simulation — not a
+// path_built labelled as a predicted failure.
+func TestLiveRepairTracesOnePathRepaired(t *testing.T) {
+	e := newLiveSessionEnv(t, 6, 5)
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}}, 5, SessionOptions{
+		R:             1,
+		Repair:        true,
+		ProbeInterval: time.Hour, // repairs happen only when forced
+		AckTimeout:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	ring := obs.NewRing(1024)
+	defer e.c.nodes[0].AttachTracer(ring)()
+	const repairs = 4
+	for i := 0; i < repairs; i++ {
+		forceRepair(t, sess, i%2)
+	}
+	counts := map[obs.Type]int{}
+	for _, ev := range ring.Events() {
+		counts[ev.Type]++
+		if ev.Reason == obs.ReasonPredicted {
+			t.Errorf("event %v carries the predicted reason", ev.Type)
+		}
+		if ev.Type == obs.PathRepaired && (ev.Slot < 0 || ev.Slot > 1) {
+			t.Errorf("path_repaired for slot %d", ev.Slot)
+		}
+	}
+	if counts[obs.PathRepaired] != repairs || counts[obs.PathBuilt] != 0 {
+		t.Fatalf("%d repairs traced %d path_repaired and %d path_built events",
+			repairs, counts[obs.PathRepaired], counts[obs.PathBuilt])
 	}
 }

@@ -1,12 +1,13 @@
 package livenet
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,24 +19,17 @@ import (
 	"resilientmix/internal/sim"
 )
 
-// This file is SimEra over real sockets. A LiveSession owns k live onion
-// paths to one responder, erasure-codes each message over them (§4.7's
-// even allocation), collects end-to-end acknowledgments, and marks paths
-// dead on ack timeout (§4.5). Its payloads are core's application
-// messages (core.Msg): the simulator's segment, ack and probe formats,
-// plus cover padding. The responder side is core's m-of-n collector
-// (core.Collector, shared with the simulator's Receiver); LiveCollector
-// drives it from the node's OnData under a mutex and acks each segment.
-//
-// With SessionOptions.Repair enabled the session becomes the paper's
-// full failure-resilient loop on a real network: a probe/echo liveness
-// detector condemns silent paths, a repair worker tears them down and
-// reconstructs replacements through fresh relays (with jittered
-// exponential backoff on path setup), unacknowledged segments are
-// retransmitted until m distinct acks confirm delivery, and when the
-// session runs below its full path width it reports itself degraded —
-// shedding cover traffic first — so operators see graceful degradation
-// instead of silent loss.
+// This file is SimEra over real sockets. The initiator, LiveSession,
+// drives core.SessionMachine — the simulator's §4.5/§4.7 initiator —
+// from goroutines under one mutex: Send allocates segments to live path
+// slots and arms each round's ack deadline, ackLoop files acks and probe
+// echoes, the deadline applies the machine's condemnations and
+// retransmits, probeLoop sends one probe round per interval, repairLoop
+// rebuilds condemned slots through fresh roster relays with jittered
+// backoff, and coverLoop sends cover traffic, shed first while the
+// session is degraded. Payloads are core's application messages
+// (core.Msg). The responder, LiveCollector, drives core's m-of-n
+// collector from the node's OnData and acks each segment.
 
 // collectorTTL is how long a LiveCollector remembers a message after
 // its last segment: well past the session's retransmit window
@@ -198,27 +192,18 @@ func (o SessionOptions) withDefaults() SessionOptions {
 	return o
 }
 
-// pendingMsg tracks one outbound message until m distinct acks confirm
-// it (delivered) or the retransmit budget runs out (lost).
-type pendingMsg struct {
-	segs   []erasure.Segment
-	rounds int
-	done   chan struct{}
-}
-
-// roundJob records which slot carried which segment in one send round,
-// for the round's failure detector.
-type roundJob struct {
-	slot int
-	p    *Path
-	idx  int32
+// liveMsg is what the driver keeps of a message for as long as the
+// machine holds it (to the first ack deadline after its verdict): the
+// segments a retransmit re-sends and the channel Await waits on.
+type liveMsg struct {
+	segs []erasure.Segment
+	done chan struct{}
 }
 
 // LiveSession is an erasure-coded multipath session over live paths.
 type LiveSession struct {
 	node      *Node
 	code      *erasure.Code
-	k, r      int
 	opts      SessionOptions
 	responder netsim.NodeID
 
@@ -226,14 +211,11 @@ type LiveSession struct {
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
-	paths    []*Path
-	alive    []bool
-	relays   [][]netsim.NodeID // current relay assignment per slot
-	acked    map[uint64]map[int32]bool
-	pending  map[uint64]*pendingMsg
+	m        *core.SessionMachine
+	paths    []*Path // by slot; nil where no path was ever built
+	msgs     map[uint64]*liveMsg
 	resolved map[uint64]error // terminal verdicts awaiting Await
-	probes   map[uint64]roundJob
-	degraded bool
+	gauged   bool             // counted in the node's live.degraded gauge
 	rng      *mrand.Rand
 
 	repairKick chan struct{}
@@ -242,23 +224,15 @@ type LiveSession struct {
 	wg         sync.WaitGroup
 }
 
-// errMessageLost is the Await verdict when the retransmit budget runs
-// out before m distinct acks arrive.
+// errMessageLost is Await's verdict when the retransmit budget runs out.
 var errMessageLost = errors.New("livenet: message lost (retransmit budget exhausted)")
 
-// NewLiveSession constructs k node-disjoint live paths through the given
-// relay lists to the responder and wires reverse-path ack handling.
-// relayLists must hold k disjoint lists; r is the replication factor
-// (k must be a multiple of r). Repair is off — this is the legacy
-// fire-and-forget session; use NewLiveSessionOpts for the resilient one.
-func (n *Node) NewLiveSession(relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, ackTimeout time.Duration) (*LiveSession, error) {
-	return n.NewLiveSessionOpts(relayLists, responder, SessionOptions{R: r, AckTimeout: ackTimeout})
-}
-
-// NewLiveSessionOpts constructs a session with explicit options.
+// NewLiveSessionOpts constructs k node-disjoint live paths through the
+// given relay lists to the responder and wires reverse-path ack
+// handling. relayLists must hold k disjoint lists; k must be a positive
+// multiple of opts.R.
 func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim.NodeID, opts SessionOptions) (*LiveSession, error) {
-	k := len(relayLists)
-	r := opts.R
+	k, r := len(relayLists), opts.R
 	if k < 1 || r < 1 || k%r != 0 {
 		return nil, fmt.Errorf("livenet: k=%d must be a positive multiple of r=%d", k, r)
 	}
@@ -269,52 +243,39 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &LiveSession{
-		node:       n,
-		code:       code,
-		k:          k,
-		r:          r,
-		opts:       opts,
-		responder:  responder,
-		ctx:        ctx,
-		cancel:     cancel,
-		alive:      make([]bool, k),
-		acked:      make(map[uint64]map[int32]bool),
-		pending:    make(map[uint64]*pendingMsg),
+		node: n, code: code, opts: opts, responder: responder, ctx: ctx, cancel: cancel,
+		m: core.NewSessionMachine(core.SessionConfig{
+			Self: n.cfg.ID, Responder: responder, K: k,
+			Needed: k / r, Total: k, AckTimeout: sim.FromDuration(opts.AckTimeout),
+			Retransmits: opts.MaxRetransmits, MaxInflight: opts.MaxInflight,
+			Relays: relayLists,
+		}),
+		paths:      make([]*Path, k),
+		msgs:       make(map[uint64]*liveMsg),
 		resolved:   make(map[uint64]error),
-		probes:     make(map[uint64]roundJob),
 		rng:        mrand.New(mrand.NewSource(int64(newSID()))),
 		repairKick: make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 	}
 	var firstErr error
 	for i, relays := range relayLists {
-		s.relays = append(s.relays, append([]netsim.NodeID(nil), relays...))
 		p, err := n.Construct(relays, responder)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			s.paths = append(s.paths, nil)
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		s.paths = append(s.paths, p)
-		s.alive[i] = true
-		s.wg.Add(1)
-		go s.ackLoop(p)
+		s.install(i, p)
 	}
-	if s.AlivePaths() < k/r {
+	if alive := s.AlivePaths(); alive < k/r {
 		s.Teardown()
 		return nil, fmt.Errorf("livenet: only %d/%d paths constructed (need %d): %w",
-			s.AlivePaths(), k, k/r, firstErr)
+			alive, k, k/r, firstErr)
 	}
-	s.mu.Lock()
-	s.syncDegradedLocked()
-	s.mu.Unlock()
 	if opts.Repair {
 		s.wg.Add(2)
 		go s.probeLoop()
 		go s.repairLoop()
-		if s.AlivePaths() < k {
+		if s.Degraded() {
 			s.kickRepair()
 		}
 	}
@@ -325,23 +286,24 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 	return s, nil
 }
 
+// install stands slot up on path p and starts its ack reader; it
+// returns the path p replaced.
+func (s *LiveSession) install(slot int, p *Path) (old *Path) {
+	s.mu.Lock()
+	old, s.paths[slot] = s.paths[slot], p
+	s.m.Revive(slot, p.Relays)
+	s.syncDegradedLocked()
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go s.ackLoop(p)
+	return old
+}
+
 // AlivePaths returns the number of live path slots.
 func (s *LiveSession) AlivePaths() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.liveSlotsLocked())
-}
-
-// liveSlotsLocked returns the slots whose path is alive. Callers hold
-// s.mu.
-func (s *LiveSession) liveSlotsLocked() []int {
-	var slots []int
-	for i, a := range s.alive {
-		if a && s.paths[i] != nil {
-			slots = append(slots, i)
-		}
-	}
-	return slots
+	return len(s.m.LiveSlots())
 }
 
 // Degraded reports whether the session is running below its full path
@@ -349,42 +311,46 @@ func (s *LiveSession) liveSlotsLocked() []int {
 func (s *LiveSession) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.degraded
+	return s.m.Degraded()
 }
 
-// syncDegradedLocked recomputes the degraded flag and maintains the
-// node-wide degraded-session count and gauge. Callers hold s.mu.
+// syncDegradedLocked keeps the node-wide degraded-session count and
+// gauge in step with the machine. Callers hold s.mu.
 func (s *LiveSession) syncDegradedLocked() {
-	deg := len(s.liveSlotsLocked()) < s.k
-	if deg == s.degraded {
+	deg := s.m.Degraded()
+	if deg == s.gauged {
 		return
 	}
-	s.degraded = deg
-	delta := int64(1)
-	if !deg {
-		delta = -1
+	s.gauged = deg
+	delta := int64(-1)
+	if deg {
+		delta = 1
 	}
-	total := s.node.degraded.Add(delta)
-	s.node.reg.Gauge("live.degraded").Set(float64(total))
+	s.addDegraded(delta)
 }
 
-// markDeadLocked condemns a path slot: §4.5's detector verdict.
-// Callers hold s.mu; the repair worker is kicked if enabled.
-func (s *LiveSession) markDeadLocked(slot int, p *Path, reason obs.Reason) {
-	if !s.alive[slot] || s.paths[slot] != p {
-		return // already condemned or already repaired
-	}
-	s.alive[slot] = false
-	s.syncDegradedLocked()
-	s.node.reg.Counter("session.paths_dead").Inc()
-	s.node.emit(obs.Event{
-		Type: obs.PathBroken, At: time.Now().UnixMicro(),
-		Node: int(s.node.cfg.ID), Peer: int(s.responder),
-		ID: p.SID, Slot: slot, Hop: -1,
-		Reason: reason,
-	})
-	if s.opts.Repair {
-		s.kickRepair()
+func (s *LiveSession) addDegraded(delta int64) {
+	s.node.reg.Gauge("live.degraded").Set(float64(s.node.degraded.Add(delta)))
+}
+
+// condemnLocked applies the machine's condemnations: each slot goes
+// down, is counted and traced, and the repair worker is kicked if
+// enabled. Callers hold s.mu.
+func (s *LiveSession) condemnLocked(slots []int, reason obs.Reason) {
+	for _, slot := range slots {
+		if !s.m.Condemn(slot) {
+			continue
+		}
+		s.syncDegradedLocked()
+		s.node.reg.Counter("session.paths_dead").Inc()
+		s.node.emit(obs.Event{
+			Type: obs.PathBroken, At: time.Now().UnixMicro(),
+			Node: int(s.node.cfg.ID), Peer: int(s.responder),
+			ID: s.paths[slot].SID, Slot: slot, Hop: -1, Reason: reason,
+		})
+		if s.opts.Repair {
+			s.kickRepair()
+		}
 	}
 }
 
@@ -396,11 +362,11 @@ func (s *LiveSession) kickRepair() {
 	}
 }
 
-// ackLoop consumes a path's reverse traffic, recording segment acks
-// and probe echoes. A message with m distinct acks resolves as
-// delivered immediately. It returns once the path is torn down or the
-// session ends; replies is never closed, since deliverReverse may still
-// send on it.
+// ackLoop files a path's reverse traffic — segment acks and probe
+// echoes — with the machine; a message's m-th distinct ack resolves it
+// as delivered. It returns once the path is torn down or the session
+// ends; replies is never closed, since deliverReverse may still send on
+// it.
 func (s *LiveSession) ackLoop(p *Path) {
 	defer s.wg.Done()
 	for {
@@ -417,30 +383,19 @@ func (s *LiveSession) ackLoop(p *Path) {
 			continue
 		}
 		s.mu.Lock()
-		if _, probe := s.probes[ack.MID]; probe {
-			delete(s.probes, ack.MID)
-		} else if m := s.acked[ack.MID]; m != nil && !m[ack.Index] {
-			m[ack.Index] = true
+		switch s.m.Ack(ack.MID, ack.Index) {
+		case core.AckDelivered:
+			s.resolveLocked(ack.MID, nil)
+			fallthrough
+		case core.AckFresh:
 			s.node.reg.Counter("session.segments_acked").Inc()
-			if len(m) >= s.code.M() {
-				s.resolveLocked(ack.MID, nil)
-			}
 		}
 		s.mu.Unlock()
 	}
 }
 
-// resolveLocked moves a message to its terminal verdict. Callers hold
-// s.mu.
+// resolveLocked hands a message's verdict to Await. Callers hold s.mu.
 func (s *LiveSession) resolveLocked(mid uint64, err error) {
-	pm, ok := s.pending[mid]
-	if !ok {
-		return
-	}
-	delete(s.pending, mid)
-	// s.acked[mid] stays until the round timer's dead-slot sweep runs —
-	// a message delivered over the survivors must not exempt the slots
-	// that never acked from §4.5's verdict.
 	// Bound the unread-verdict map: callers that never Await must not
 	// leak memory.
 	if len(s.resolved) >= 4096 {
@@ -455,100 +410,79 @@ func (s *LiveSession) resolveLocked(mid uint64, err error) {
 	} else {
 		s.node.reg.Counter("session.messages_lost").Inc()
 	}
-	close(pm.done)
+	close(s.msgs[mid].done)
 }
 
 // Send erasure-codes data over the live paths (one segment per path,
-// §4.7's even allocation with s=1) and arms the §4.5 ack timeout: paths
-// whose segment is not acknowledged in time are marked dead, and — when
-// repair is enabled — unacknowledged segments are retransmitted over
-// surviving or repaired paths until m distinct acks confirm delivery.
-// It returns the message id; Await blocks on the verdict.
+// §4.7's even allocation with s=1) and arms the §4.5 ack deadline. It
+// returns the message id; Await blocks on the verdict.
 func (s *LiveSession) Send(data []byte) (uint64, error) {
 	segs, err := s.code.Split(data)
 	if err != nil {
 		return 0, err
 	}
-	var midBuf [8]byte
-	if _, err := rand.Read(midBuf[:]); err != nil {
-		return 0, err
-	}
-	mid := binary.BigEndian.Uint64(midBuf[:])
-	pm := &pendingMsg{segs: segs, done: make(chan struct{})}
-
-	// Check the in-flight bound and take the slot in one critical
+	mid := newSID()
+	// Check the in-flight bound and record the jobs in one critical
 	// section, so concurrent senders cannot overshoot MaxInflight.
 	s.mu.Lock()
-	if len(s.pending) >= s.opts.MaxInflight {
+	if s.m.Full() {
 		s.mu.Unlock()
 		s.node.reg.Counter("session.send_rejected").Inc()
 		return 0, errors.New("livenet: in-flight queue full")
 	}
-	live := s.liveSlotsLocked()
-	if len(live) == 0 {
+	var jobs []core.Job
+	for slot, idxs := range s.m.Allocate(len(segs), nil) {
+		for _, i := range idxs {
+			if s.m.Alive(slot) {
+				jobs = append(jobs, core.Job{Slot: slot, Index: int32(i)})
+			}
+		}
+	}
+	if len(jobs) == 0 {
 		s.mu.Unlock()
 		return 0, errors.New("livenet: no live paths")
 	}
-	s.acked[mid] = make(map[int32]bool)
-	s.pending[mid] = pm
+	s.m.Track(mid, false, jobs, now())
+	s.msgs[mid] = &liveMsg{segs: segs, done: make(chan struct{})}
+	paths := s.pathsLocked(jobs)
 	s.mu.Unlock()
-	// Initial round: segment i rides path slot i (even allocation).
-	idxs := make([]int32, len(live))
-	for j, i := range live {
-		idxs[j] = int32(i)
-	}
 	s.node.reg.Counter("session.messages_sent").Inc()
-	jobs := s.sendRound(mid, pm, idxs)
-	s.armRound(mid, pm, jobs)
+	s.sendSegments(mid, segs, jobs, paths)
+	s.arm(mid, obs.ReasonAckTimeout)
 	return mid, nil
 }
 
-// sendRound transmits the given segment indexes over live paths —
-// each segment on its home slot when that slot is alive, otherwise
-// round-robin over the survivors — and returns what went where.
-func (s *LiveSession) sendRound(mid uint64, pm *pendingMsg, idxs []int32) []roundJob {
-	s.mu.Lock()
-	slots := s.liveSlotsLocked()
-	paths := append([]*Path(nil), s.paths...)
-	alive := append([]bool(nil), s.alive...)
-	s.mu.Unlock()
-	if len(slots) == 0 {
-		return nil
+// pathsLocked returns the path each job leaves on. Callers hold s.mu.
+func (s *LiveSession) pathsLocked(jobs []core.Job) []*Path {
+	paths := make([]*Path, len(jobs))
+	for i, j := range jobs {
+		paths[i] = s.paths[j.Slot]
 	}
-	var jobs []roundJob
-	rr := 0
-	for _, idx := range idxs {
-		slot := int(idx)
-		if slot >= len(paths) || !alive[slot] || paths[slot] == nil {
-			slot = slots[rr%len(slots)]
-			rr++
-		}
-		p := paths[slot]
-		seg := pm.segs[idx]
-		p.Send(core.Msg{
-			Kind:   core.MsgSegment,
-			MID:    mid,
-			Index:  int32(seg.Index),
-			Total:  int32(s.code.N()),
-			Needed: int32(s.code.M()),
-			Data:   seg.Data,
+	return paths
+}
+
+// sendSegments transmits one round's segment jobs.
+func (s *LiveSession) sendSegments(mid uint64, segs []erasure.Segment, jobs []core.Job, paths []*Path) {
+	for i, j := range jobs {
+		seg := segs[j.Index]
+		paths[i].Send(core.Msg{
+			Kind: core.MsgSegment, MID: mid, Index: j.Index,
+			Total: int32(s.code.N()), Needed: int32(s.code.M()), Data: seg.Data,
 		}.Encode())
-		jobs = append(jobs, roundJob{slot: slot, p: p, idx: idx})
 		s.node.reg.Counter("session.segments_sent").Inc()
 		s.node.emit(obs.Event{
 			Type: obs.SegmentSent, At: time.Now().UnixMicro(),
-			Node: int(s.node.cfg.ID), Peer: int(p.Responder), ID: mid,
-			Seq: int64(seg.Index), Slot: slot, Hop: -1,
-			Size: len(seg.Data),
+			Node: int(s.node.cfg.ID), Peer: int(s.responder), ID: mid,
+			Seq: int64(j.Index), Slot: j.Slot, Hop: -1, Size: len(seg.Data),
 		})
 	}
-	return jobs
 }
 
-// armRound schedules the round's failure detector: after the ack
-// timeout, slots whose segment went unacknowledged are condemned and —
-// within the retransmit budget — missing segments go out again.
-func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
+// arm schedules the ack deadline of mid's current round, a message's or
+// a probe round's. At the deadline the machine's condemnations are
+// applied under reason, and a message is resolved as lost or its
+// unacked segments go out again.
+func (s *LiveSession) arm(mid uint64, reason obs.Reason) {
 	time.AfterFunc(s.opts.AckTimeout, func() {
 		select {
 		case <-s.quit:
@@ -556,43 +490,26 @@ func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
 		default:
 		}
 		s.mu.Lock()
-		acks := s.acked[mid]
-		for _, j := range jobs {
-			if acks == nil || !acks[j.idx] {
-				s.markDeadLocked(j.slot, j.p, obs.ReasonAckTimeout)
-			}
+		v := s.m.Expire(mid)
+		if reason == obs.ReasonProbeTimeout {
+			s.node.reg.Counter("live.repair.probe_timeouts").Add(uint64(v.Missed))
 		}
-		if _, live := s.pending[mid]; !live {
-			// Already resolved (delivered via early ack count); the sweep
-			// above was this timer's last duty.
-			delete(s.acked, mid)
-			s.mu.Unlock()
-			return
-		}
-		if len(acks) >= s.code.M() {
-			s.resolveLocked(mid, nil)
-			delete(s.acked, mid)
-			s.mu.Unlock()
-			return
-		}
-		if pm.rounds >= s.opts.MaxRetransmits {
+		s.condemnLocked(v.Condemn, reason)
+		if v.Lost {
 			s.resolveLocked(mid, errMessageLost)
-			delete(s.acked, mid)
+		}
+		if !v.Resend {
+			delete(s.msgs, mid)
 			s.mu.Unlock()
 			return
 		}
-		pm.rounds++
-		// Retransmit every unacknowledged segment index.
-		var missing []int32
-		for i := 0; i < s.code.N(); i++ {
-			if !acks[int32(i)] {
-				missing = append(missing, int32(i))
-			}
-		}
+		segs := s.msgs[mid].segs
+		jobs, _ := s.m.Retransmit(mid, now())
+		paths := s.pathsLocked(jobs)
 		s.mu.Unlock()
 		s.node.reg.Counter("session.retransmits").Inc()
-		next := s.sendRound(mid, pm, missing)
-		s.armRound(mid, pm, next)
+		s.sendSegments(mid, segs, jobs, paths)
+		s.arm(mid, reason)
 	})
 }
 
@@ -600,31 +517,31 @@ func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
 // acks confirmed delivery, errMessageLost when the retransmit budget
 // ran out, or the context error.
 func (s *LiveSession) Await(ctx context.Context, mid uint64) error {
-	for {
-		s.mu.Lock()
-		if err, ok := s.resolved[mid]; ok {
-			delete(s.resolved, mid)
-			s.mu.Unlock()
-			return err
-		}
-		pm, ok := s.pending[mid]
-		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("livenet: unknown message %d", mid)
-		}
+	s.mu.Lock()
+	lm := s.msgs[mid]
+	s.mu.Unlock()
+	if lm != nil {
 		select {
-		case <-pm.done:
+		case <-lm.done:
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-s.quit:
 			return errors.New("livenet: session torn down")
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err, ok := s.resolved[mid]
+	if !ok {
+		return fmt.Errorf("livenet: unknown message %d", mid)
+	}
+	delete(s.resolved, mid)
+	return err
 }
 
-// probeLoop sends a nonce down every live path at the probe cadence;
-// an echo that fails to return within the ack timeout condemns the
-// path (§4.5's probing failure detector on real sockets).
+// probeLoop sends one probe round — one MID, the slot as index — down
+// every live path at the probe cadence; a slot whose echo misses the
+// ack deadline is condemned (§4.5's probing failure detector).
 func (s *LiveSession) probeLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.opts.ProbeInterval)
@@ -635,37 +552,25 @@ func (s *LiveSession) probeLoop() {
 			return
 		case <-ticker.C:
 		}
+		mid := newSID()
+		var jobs []core.Job
 		s.mu.Lock()
-		var targets []roundJob
-		for _, i := range s.liveSlotsLocked() {
-			targets = append(targets, roundJob{slot: i, p: s.paths[i]})
+		for _, slot := range s.m.LiveSlots() {
+			jobs = append(jobs, core.Job{Slot: slot, Index: int32(slot)})
 		}
+		s.m.Track(mid, true, jobs, now())
+		paths := s.pathsLocked(jobs)
 		s.mu.Unlock()
-		for _, t := range targets {
-			t := t
-			nonce := newSID()
-			s.mu.Lock()
-			s.probes[nonce] = t
-			s.mu.Unlock()
+		for i, j := range jobs {
 			s.node.reg.Counter("live.repair.probes").Inc()
-			t.p.Send(core.Msg{Kind: core.MsgProbe, MID: nonce, Index: int32(t.slot)}.Encode())
-			time.AfterFunc(s.opts.AckTimeout, func() {
-				s.mu.Lock()
-				ref, outstanding := s.probes[nonce]
-				delete(s.probes, nonce)
-				if outstanding {
-					s.node.reg.Counter("live.repair.probe_timeouts").Inc()
-					s.markDeadLocked(ref.slot, ref.p, obs.ReasonProbeTimeout)
-				}
-				s.mu.Unlock()
-			})
+			paths[i].Send(core.Msg{Kind: core.MsgProbe, MID: mid, Index: j.Index}.Encode())
 		}
+		s.arm(mid, obs.ReasonProbeTimeout)
 	}
 }
 
-// repairLoop reconstructs condemned path slots through fresh relays
-// (§4.5's path replacement): tear down the dead path, pick relays not
-// serving any live slot, and rebuild with jittered exponential backoff.
+// repairLoop rebuilds condemned slots through fresh relays (§4.5's path
+// replacement), lowest slot first, until none is down.
 func (s *LiveSession) repairLoop() {
 	defer s.wg.Done()
 	for {
@@ -674,86 +579,60 @@ func (s *LiveSession) repairLoop() {
 			return
 		case <-s.repairKick:
 		}
-		for {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			slot := s.deadSlot()
-			if slot < 0 {
-				break
-			}
+		for slot := s.nextRepair(); slot >= 0; slot = s.nextRepair() {
 			s.repairSlot(slot)
 		}
 	}
 }
 
-// deadSlot returns the first condemned slot, or -1.
-func (s *LiveSession) deadSlot() int {
+// nextRepair starts the repair of the lowest down slot and returns it,
+// or -1 when none is down or the session is ending.
+func (s *LiveSession) nextRepair() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, a := range s.alive {
-		if !a {
-			return i
+	for slot := range s.paths {
+		if s.ctx.Err() != nil {
+			break
+		}
+		if !s.m.Alive(slot) && s.m.Rebuild(slot) {
+			return slot
 		}
 	}
 	return -1
 }
 
-// freshRelays picks a relay list for a slot repair: relays not serving
-// any live slot are preferred; relays of dead paths fill the remainder
-// when the roster is too small for strict freshness.
+// freshRelays picks a relay list for a slot repair from the roster,
+// avoiding the machine's exclusion set: relays the slot did not use
+// before come first; its old relays fill the remainder when the roster
+// is too small for strict freshness.
 func (s *LiveSession) freshRelays(slot int) []netsim.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := len(s.relays[slot])
-	inUse := make(map[netsim.NodeID]bool)
-	for i, rl := range s.relays {
-		if i != slot && s.alive[i] {
-			for _, r := range rl {
-				inUse[r] = true
-			}
-		}
-	}
-	roster := s.node.roster()
+	old, ex := s.m.Relays(slot), s.m.Exclude(slot)
 	var fresh, fallback []netsim.NodeID
-	for id := 0; id < roster.Size(); id++ {
-		nid := netsim.NodeID(id)
-		if nid == s.node.cfg.ID || nid == s.responder {
-			continue
-		}
-		if inUse[nid] {
-			continue
-		}
-		used := false
-		for _, r := range s.relays[slot] {
-			if r == nid {
-				used = true
-				break
-			}
-		}
-		if used {
-			fallback = append(fallback, nid)
-		} else {
-			fresh = append(fresh, nid)
+	for id := netsim.NodeID(0); int(id) < s.node.roster().Size(); id++ {
+		switch {
+		case slices.Contains(ex, id):
+		case slices.Contains(old, id):
+			fallback = append(fallback, id)
+		default:
+			fresh = append(fresh, id)
 		}
 	}
 	s.rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 	s.rng.Shuffle(len(fallback), func(i, j int) { fallback[i], fallback[j] = fallback[j], fallback[i] })
-	pick := append(fresh, fallback...)
-	if len(pick) < want {
-		return nil
+	if pick := append(fresh, fallback...); len(pick) >= len(old) {
+		return pick[:len(old)]
 	}
-	return pick[:want]
+	return nil
 }
 
 // repairSlot rebuilds one condemned slot, retrying per the construct
 // policy. On success the slot goes live again and pending messages'
-// next retransmit round uses it.
+// next retransmit round uses it; on failure it stays down and the
+// worker tries again.
 func (s *LiveSession) repairSlot(slot int) {
 	var built *Path
-	var builtRelays []netsim.NodeID
 	err := s.opts.ConstructRetry.Do(s.ctx, func(ctx context.Context) error {
 		relays := s.freshRelays(slot)
 		if relays == nil {
@@ -761,40 +640,22 @@ func (s *LiveSession) repairSlot(slot int) {
 		}
 		cctx, cancel := context.WithTimeout(ctx, s.node.cfg.ConstructTimeout)
 		defer cancel()
-		p, err := s.node.ConstructCtx(cctx, relays, s.responder)
-		if err != nil {
-			return err
-		}
-		built = p
-		builtRelays = relays
-		return nil
+		var err error
+		built, err = s.node.construct(cctx, relays, s.responder, nil)
+		return err
 	})
 	if err != nil {
+		s.mu.Lock()
+		s.m.RebuildFailed(slot)
+		s.mu.Unlock()
 		s.node.reg.Counter("live.repair.failed").Inc()
-		// Leave the slot dead; the next probe round or send failure will
-		// kick the worker again, and a later retransmit may still get
-		// through over surviving paths.
 		return
 	}
-	s.mu.Lock()
-	old := s.paths[slot]
-	s.paths[slot] = built
-	s.relays[slot] = builtRelays
-	s.alive[slot] = true
-	s.syncDegradedLocked()
-	s.mu.Unlock()
-	if old != nil {
+	if old := s.install(slot, built); old != nil {
 		old.Teardown()
 	}
-	s.wg.Add(1)
-	go s.ackLoop(built)
+	s.node.notePath(obs.PathRepaired, built, int64(slot), slot)
 	s.node.reg.Counter("live.repair.repaired").Inc()
-	s.node.emit(obs.Event{
-		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
-		Node: int(s.node.cfg.ID), Peer: int(s.responder),
-		ID: built.SID, Seq: int64(len(builtRelays)), Slot: slot, Hop: -1,
-		Reason: obs.ReasonPredicted,
-	})
 }
 
 // coverLoop emits cover traffic down a random live path — and sheds it
@@ -811,14 +672,12 @@ func (s *LiveSession) coverLoop() {
 		case <-ticker.C:
 		}
 		s.mu.Lock()
-		live := s.liveSlotsLocked()
-		shed := s.degraded || len(s.pending) >= s.opts.MaxInflight/2 || len(live) == 0
 		var p *Path
-		if !shed {
+		if live := s.m.LiveSlots(); !s.m.Degraded() && s.m.Inflight() < s.opts.MaxInflight/2 && len(live) > 0 {
 			p = s.paths[live[s.rng.Intn(len(live))]]
 		}
 		s.mu.Unlock()
-		if shed {
+		if p == nil {
 			s.node.reg.Counter("live.cover_shed").Inc()
 			continue
 		}
@@ -836,12 +695,11 @@ func (s *LiveSession) Teardown() {
 		close(s.quit)
 		s.wg.Wait()
 		s.mu.Lock()
-		if s.degraded {
-			s.degraded = false
-			total := s.node.degraded.Add(-1)
-			s.node.reg.Gauge("live.degraded").Set(float64(total))
+		if s.gauged {
+			s.gauged = false
+			s.addDegraded(-1)
 		}
-		paths := append([]*Path(nil), s.paths...)
+		paths := slices.Clone(s.paths)
 		s.mu.Unlock()
 		for _, p := range paths {
 			if p != nil {

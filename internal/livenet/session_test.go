@@ -50,9 +50,9 @@ func (e *liveSessionEnv) await(t *testing.T, mid uint64) []byte {
 
 func TestLiveSessionEndToEnd(t *testing.T) {
 	e := newLiveSessionEnv(t, 10, 9)
-	sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 3*time.Second)
+	}, 9, SessionOptions{R: 2, AckTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestLiveSessionEndToEnd(t *testing.T) {
 
 func TestLiveSessionToleratesPathFailure(t *testing.T) {
 	e := newLiveSessionEnv(t, 10, 9)
-	sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 2*time.Second)
+	}, 9, SessionOptions{R: 2, AckTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestLiveSessionToleratesPathFailure(t *testing.T) {
 
 func TestLiveSessionValidation(t *testing.T) {
 	e := newLiveSessionEnv(t, 6, 5)
-	if _, err := e.c.nodes[0].NewLiveSession(nil, 5, 2, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts(nil, 5, SessionOptions{R: 2}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{{1}, {2}, {3}}, 5, 2, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}, {3}}, 5, SessionOptions{R: 2}); err == nil {
 		t.Error("k not multiple of r accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestLiveSessionFailsWithoutQuorum(t *testing.T) {
 	e.c.nodes[1].Close()
 	e.c.nodes[3].Close()
 	e.c.nodes[0].cfg.ConstructTimeout = time.Second
-	if _, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 7, 1, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}}, 7, SessionOptions{R: 1}); err == nil {
 		t.Fatal("session without constructable paths accepted")
 	}
 }
@@ -206,7 +206,7 @@ func BenchmarkLiveSessionSend(b *testing.B) {
 	gotCh := make(chan uint64, 64)
 	collector := NewLiveCollector(func(mid uint64, _ []byte) { gotCh <- mid })
 	c := startCluster(b, 6, map[int]DataFunc{5: collector.Handle})
-	sess, err := c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, 2, 5*time.Second)
+	sess, err := c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, SessionOptions{R: 2, AckTimeout: 5 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
